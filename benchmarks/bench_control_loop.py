@@ -16,7 +16,7 @@ EXP-CTL study to certify the fix (:mod:`repro.control`):
 * **swap overhead** — hot swaps are atomic between micro-batches; their
   measured latency must stay in the sub-millisecond range;
 * **tracking** — swap counts and time-to-reconverge from the serve-plane
-  regime-shift report, plus bit-identity of the EWMA arm's batch-kernel
+  regime-shift report, plus bit-identity of the EWMA arm's compiled-kernel
   replay against the scalar loop (the kernel's ``threshold_schedule``
   support is load-bearing here).
 
@@ -77,7 +77,7 @@ def test_control_loop(bench_config):
             f"{spec}: controller violated the Theorem-1 protection floor"
         )
         # The EWMA arm's piecewise-constant schedule replayed through the
-        # batch kernel must agree with the scalar loop bit for bit.
+        # compiled kernel must agree with the scalar loop bit for bit.
         assert doc["ewma_batch_matches_loop"], (
             f"{spec}: batch threshold_schedule replay diverged from the "
             "scalar adaptive loop"

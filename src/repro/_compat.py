@@ -9,7 +9,7 @@ in declaration order and emits a :class:`DeprecationWarning`.
 
 Backend selection went through a similar migration: the scattered
 ``reference: bool`` flags on ``simulate`` / ``run_scenario`` became one
-``backend=`` keyword (``"auto"`` / ``"batch"`` / ``"fast"`` / ``"reference"``).
+``backend=`` keyword (``"auto"`` / ``"fast"`` / ``"reference"``).
 :func:`resolve_backend` collapses both spellings in one place and emits the
 deprecation warning for the legacy flag.
 """
@@ -21,11 +21,10 @@ from dataclasses import fields
 
 __all__ = ["BACKENDS", "positional_shim", "resolve_backend"]
 
-#: Valid values for the unified ``backend=`` keyword, in resolution order:
-#: ``auto`` picks the fastest exact engine for the job, ``batch`` requests the
-#: lockstep many-seeds kernel (falling back when ineligible), ``fast`` the
-#: per-seed vectorized loop, ``reference`` the general event-loop oracle.
-BACKENDS = ("auto", "batch", "fast", "reference")
+#: Valid values for the unified ``backend=`` keyword: ``auto`` and ``fast``
+#: run the compiled admission kernel wherever it applies (the general loop
+#: otherwise), ``reference`` forces the general event-loop oracle.
+BACKENDS = ("auto", "fast", "reference")
 
 
 def resolve_backend(

@@ -67,7 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Scenario",
     "StudyResult",
-    "BatchResult",
     "LabConfig",
     "run_scenario",
     "run_study",
@@ -236,7 +235,10 @@ class StudyResult:
 
     ``lab`` is populated only for lab-orchestrated runs
     (``run_study(..., lab=LabConfig(...))``): the pass's cache-hit /
-    simulation / telemetry report.
+    simulation / telemetry report.  The per-seed accessors
+    (:meth:`per_seed`, :meth:`blocking_by_seed`, :meth:`offered_matrix`, ...)
+    expose the seed axis as arrays, and :attr:`backends` names the engine
+    that ran each policy.
     """
 
     outcomes: Mapping[str, ReplicationOutcome]
@@ -261,29 +263,11 @@ class StudyResult:
         """Per-policy aggregate network blocking."""
         return {name: outcome.stat for name, outcome in self.outcomes.items()}
 
-
-@dataclass(frozen=True)
-class BatchResult(StudyResult):
-    """A :class:`StudyResult` whose replications ran through the batch kernel.
-
-    :func:`run_study` returns this subclass whenever at least one policy's
-    seeds were simulated by the lockstep many-seeds backend.  The aggregate
-    interface (``.stat``, ``.blocking()``, ``.outcomes``) is inherited
-    unchanged and bit-identical to a per-seed run; what this adds is the
-    seed axis as arrays, plus :meth:`per_seed` for code that wants the
-    historical per-seed result list.
-    """
-
     def _outcome_for(self, policy: str | None) -> ReplicationOutcome:
         return self.outcome if policy is None else self.outcomes[policy]
 
     def per_seed(self, policy: str | None = None) -> list[SimulationResult]:
-        """The per-seed :class:`SimulationResult` list, in seed order.
-
-        This is exactly what ``outcome.results`` holds for a per-seed run,
-        so existing experiments/registry code can consume batch output
-        untouched.
-        """
+        """The per-seed :class:`SimulationResult` list, in seed order."""
         return list(self._outcome_for(policy).results)
 
     def seeds(self, policy: str | None = None) -> tuple[int, ...]:
@@ -309,12 +293,14 @@ class BatchResult(StudyResult):
         )
 
     @property
-    def backends(self) -> dict[str, str]:
-        """Which execution backend produced each policy's replications."""
-        return {
-            name: outcome.backend or "per-seed"
-            for name, outcome in self.outcomes.items()
-        }
+    def backends(self) -> dict[str, str | None]:
+        """The engine that produced each policy's replications.
+
+        ``"compiled"`` or ``"reference"`` when every seed ran on it,
+        ``"mixed"`` otherwise; ``None`` for results served from a lab store
+        that recorded no engine.
+        """
+        return {name: outcome.backend for name, outcome in self.outcomes.items()}
 
 
 def run_scenario(
@@ -330,10 +316,11 @@ def run_scenario(
 
     ``duration`` is total simulated time including the ``warmup`` transient
     (the paper's protocol: 110 units, first 10 discarded).  ``backend``
-    selects the simulation engine — ``"auto"`` (default), ``"batch"``,
-    ``"fast"``, or ``"reference"`` for the unvectorized oracle loop; all
-    produce bit-identical statistics.  The legacy ``reference=True`` flag
-    maps to ``backend="reference"`` with a :class:`DeprecationWarning`.
+    selects the simulation engine — ``"auto"`` (default) or ``"fast"`` for
+    the compiled kernel where it applies, ``"reference"`` for the general
+    oracle loop; all produce bit-identical statistics.  The legacy
+    ``reference=True`` flag maps to ``backend="reference"`` with a
+    :class:`DeprecationWarning`.
     """
     resolved = resolve_backend(backend, reference, owner="run_scenario")
     trace = scenario.make_trace(duration, seed)
@@ -363,13 +350,11 @@ def run_study(
     ``parallel=True`` fans seeds over a process pool with the hardened
     runner's timeout/retry/fallback machinery.
 
-    ``backend`` selects the execution engine per replication group.  Under
-    ``"auto"`` (and ``"batch"``) the serial path groups compatible seeds
-    into one lockstep batch-kernel invocation, falling back to the per-seed
-    loops for configurations the kernel cannot express (and for parallel
-    pools, which stay per-seed by construction); ``"fast"`` / ``"reference"``
-    force the per-seed loops.  Results are bit-identical across backends;
-    when the batch kernel ran, the returned study is a :class:`BatchResult`.
+    ``backend`` selects the execution engine per seed (see
+    :meth:`~repro.sim.simulator.LossNetworkSimulator.run`).  Results are
+    bit-identical across backends; :attr:`StudyResult.backends` and each
+    :class:`~repro.experiments.runner.SeedStatus` record the engine that
+    actually ran.
 
     ``lab=LabConfig(...)`` routes the study through :mod:`repro.lab`: each
     ``(policy, seed)`` replication is looked up in a content-addressed
@@ -413,9 +398,4 @@ def run_study(
             seed_timeout=seed_timeout, max_seed_retries=max_seed_retries,
             workload=workload, backend=backend,
         )
-    cls = (
-        BatchResult
-        if any(outcome.backend == "batch" for outcome in outcomes.values())
-        else StudyResult
-    )
-    return cls(outcomes=outcomes, config=config)
+    return StudyResult(outcomes=outcomes, config=config)

@@ -46,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._compat import BACKENDS
 from .analysis.bistability import find_fixed_points
 from .core.protection import min_protection_level
 from .core.theorem import verify_theorem1
@@ -1205,10 +1206,10 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--seeds", type=int, default=10)
     evaluate.add_argument("--duration", type=float, default=100.0)
     evaluate.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    evaluate.add_argument("--backend", choices=["auto", "batch", "fast", "reference"],
+    evaluate.add_argument("--backend", choices=BACKENDS,
                           default="auto",
                           help="simulation engine (all are bit-identical; "
-                               "auto batches the seeds when possible)")
+                               "auto runs the compiled kernel where it applies)")
     evaluate.set_defaults(func=_cmd_evaluate)
 
     report = sub.add_parser("report", help="regenerate every experiment into one report")
@@ -1235,10 +1236,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run a registered experiment's lab job graph instead")
     run.add_argument("--seeds", type=_positive_int, default=10)
     run.add_argument("--duration", type=float, default=100.0)
-    run.add_argument("--backend", choices=["auto", "batch", "fast", "reference"],
+    run.add_argument("--backend", choices=BACKENDS,
                      default="auto",
                      help="simulation engine (all are bit-identical; "
-                          "auto batches each policy's seeds when possible)")
+                          "auto runs the compiled kernel where it applies)")
     run.set_defaults(func=_cmd_lab_run)
 
     resume = lab_sub.add_parser(

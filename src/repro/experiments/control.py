@@ -9,11 +9,11 @@ in :mod:`repro.control`: per workload it compares four arms on common
 random numbers —
 
 * **static** — the paper's offline ``r^k`` (Equation 15 from the nominal
-  matrix), frozen; evaluated through the batch kernel;
+  matrix), frozen; evaluated through the compiled admission kernel;
 * **ewma** — the EXP-ADV recompute loop
   (:class:`~repro.routing.adaptive.AdaptiveProtectionSimulator`).  Its
   threshold trajectory is piecewise-constant, so each run's schedule is
-  re-evaluated through the batch kernel's ``threshold_schedule`` support
+  re-evaluated through the kernel's ``threshold_schedule`` support
   and asserted bit-identical to the scalar loop — the study itself
   guards the kernel;
 * **online** — the :class:`repro.control.loop.ControlLoop` closed over a
@@ -138,7 +138,7 @@ def control_loop_study(
     online_policy = LengthAdaptiveControlledRouting(network, table, nominal_loads)
     # The EWMA arm replays AdaptiveProtectionSimulator's exact policy
     # structure (no splits) so its threshold schedule can be re-evaluated
-    # bit-for-bit through the batch kernel.
+    # bit-for-bit through the compiled kernel.
     ewma_policy = ControlledAlternateRouting(network, table, nominal_loads)
 
     # The stationary control: what the static deployment blocks when the

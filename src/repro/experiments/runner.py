@@ -28,7 +28,6 @@ from typing import Callable, Mapping, Sequence
 
 from .._compat import positional_shim, resolve_backend
 from ..routing.base import RoutingPolicy
-from ..sim.batch import batch_ineligibility, simulate_batch
 from ..sim.metrics import SimulationResult, SweepStatistic, aggregate
 from ..sim.simulator import simulate
 from ..sim.trace import ArrivalTrace, generate_trace
@@ -151,9 +150,9 @@ class SeedStatus:
     in-process compute time, in seconds, of the successful attempt (pool
     queueing excluded); ``None`` until the seed completes.  ``cached`` marks
     seeds served from the lab's result store without simulating.  ``backend``
-    names the engine that produced the result: ``"batch"`` when the seed ran
-    inside a lockstep batch-kernel group (``wall_clock`` is then the group's
-    time split evenly), otherwise the per-seed backend that was requested.
+    names the engine that produced the result (``"compiled"`` or
+    ``"reference"``, from :attr:`SimulationResult.backend`), not the one
+    requested.
     """
 
     seed: int
@@ -183,10 +182,9 @@ class SeedStatus:
 class ReplicationOutcome:
     """Aggregate plus the per-seed status report of one replication sweep.
 
-    ``backend`` names the engine that produced the results: ``"batch"`` when
-    the whole sweep ran through the lockstep batch kernel, otherwise the
-    per-seed backend that executed (``"auto"``, ``"fast"`` or
-    ``"reference"``).  All engines are bit-identical, so the field is
+    ``backend`` names the engine that produced the results: ``"compiled"``
+    or ``"reference"`` when every seed ran on it, ``"mixed"`` otherwise (see
+    :func:`engine_of`).  All engines are bit-identical, so the field is
     provenance, not semantics.
     """
 
@@ -324,38 +322,12 @@ def _run_payloads_parallel(
     return results, statuses, pool_broken
 
 
-def _try_batch(
-    network: Network,
-    policy: RoutingPolicy,
-    traces: Sequence[ArrivalTrace],
-    config: ReplicationConfig,
-    statuses_map: dict[int, SeedStatus],
-    results_map: dict[int, SimulationResult],
-) -> bool:
-    """Attempt the whole seed group in one lockstep batch-kernel run.
-
-    Returns True (with ``results_map``/``statuses_map`` filled) when the
-    batch kernel handled the group, False when the configuration is
-    inexpressible or the kernel errored — the caller then falls back to the
-    per-seed loop, which accepts everything.  Per-seed wall-clock is the
-    group's time split evenly: the kernel advances all seeds together, so
-    no finer attribution exists.
-    """
-    if len(traces) < 2 or batch_ineligibility(policy, traces) is not None:
-        return False
-    start = time.perf_counter()
-    try:
-        batch_results = simulate_batch(network, policy, traces, config.warmup)
-    except Exception:  # noqa: BLE001 - per-seed loop is the safety net
-        return False
-    share = (time.perf_counter() - start) / len(traces)
-    for index, (trace, result) in enumerate(zip(traces, batch_results)):
-        results_map[index] = result
-        statuses_map[index] = SeedStatus(
-            seed=trace.seed, completed=True, attempts=1,
-            wall_clock=share, backend="batch",
-        )
-    return True
+def engine_of(statuses: Sequence[SeedStatus]) -> str | None:
+    """The engine shared by every completed seed, or ``"mixed"``."""
+    engines = {status.backend for status in statuses if status.completed}
+    if len(engines) > 1:
+        return "mixed"
+    return engines.pop() if engines else None
 
 
 def run_replications_detailed(
@@ -379,12 +351,10 @@ def run_replications_detailed(
     ``None`` keeps the historical stationary traces bit for bit.  It is
     ignored when explicit ``traces`` are supplied.
 
-    ``backend`` selects the execution engine.  Under ``"auto"`` or
-    ``"batch"`` the serial path first tries to run all seeds in one
-    lockstep batch-kernel invocation (:func:`repro.sim.batch.simulate_batch`),
-    falling back per seed when the configuration is inexpressible;
-    ``"fast"`` / ``"reference"`` force the per-seed loops.  Every engine is
-    bit-identical, so the choice affects speed and provenance only.
+    ``backend`` selects the execution engine per seed (see
+    :meth:`~repro.sim.simulator.LossNetworkSimulator.run`); every engine is
+    bit-identical, so the choice affects speed and provenance only.  Each
+    seed's :attr:`SeedStatus.backend` records the engine that actually ran.
 
     ``parallel=True`` fans the seeds over a process pool — results are
     bit-identical to the serial path (each seed is fully self-contained).
@@ -401,8 +371,6 @@ def run_replications_detailed(
     *every* seed failed (then ``RuntimeError``).
     """
     backend = resolve_backend(backend, None, owner="run_replications_detailed")
-    per_seed_backend = backend if backend in ("fast", "reference") else "auto"
-    used_batch = False
     if parallel and traces is None:
         if worker is _replication_worker:
             # Default worker: ship the shared (network, policy, traffic)
@@ -416,7 +384,7 @@ def run_replications_detailed(
                 seed_timeout, max_seed_retries, max_workers,
                 initializer=_install_worker_context,
                 initargs=(network, policy, traffic, config.duration,
-                          config.warmup, workload, per_seed_backend),
+                          config.warmup, workload, backend),
             )
         else:
             # Injected worker (tests, custom pipelines): keep the historical
@@ -438,33 +406,25 @@ def run_replications_detailed(
         seeds = [trace.seed for trace in traces]
         statuses_map = {i: SeedStatus(seed=seeds[i]) for i in range(len(payloads))}
         results_map = {}
-        if backend in ("auto", "batch"):
-            used_batch = _try_batch(
-                network, policy, traces, config, statuses_map, results_map
-            )
-        if not used_batch:
-            _run_payloads_serial(
-                payloads,
-                lambda trace: simulate(
-                    network, policy, trace, config.warmup,
-                    backend=per_seed_backend,
-                ),
-                statuses_map, results_map,
-                range(len(payloads)), max_seed_retries, fallback=False,
-            )
+        _run_payloads_serial(
+            payloads,
+            lambda trace: simulate(
+                network, policy, trace, config.warmup, backend=backend,
+            ),
+            statuses_map, results_map,
+            range(len(payloads)), max_seed_retries, fallback=False,
+        )
         pool_broken = False
     statuses = [statuses_map[i] for i in sorted(statuses_map)]
     results = [results_map[i] for i in sorted(results_map)]
     if not results:
         report = "; ".join(s.describe() for s in statuses)
         raise RuntimeError(f"every replication seed failed: {report}")
-    for status in statuses:
-        if status.backend is None:
-            status.backend = per_seed_backend
+    for index, result in results_map.items():
+        statuses_map[index].backend = result.backend
     stat = aggregate([result.network_blocking for result in results])
     return ReplicationOutcome(
-        stat, results, statuses, pool_broken,
-        backend="batch" if used_batch else per_seed_backend,
+        stat, results, statuses, pool_broken, backend=engine_of(statuses)
     )
 
 

@@ -38,6 +38,7 @@ from ..experiments.runner import (
     _install_worker_context,
     _shared_context_worker,
     _timed_call,
+    engine_of,
 )
 from ..sim.metrics import aggregate
 from .config import LabConfig
@@ -268,7 +269,7 @@ class _StudyRun:
         return self.report.simulated < self.lab.max_jobs
 
 
-def _provenance(scenario_sig, config_sig, job: JobSpec, backend: str = "auto") -> dict:
+def _provenance(scenario_sig, config_sig, job: JobSpec, backend: str | None) -> dict:
     # The backend is recorded for provenance, never hashed into job_key:
     # every engine is bit-identical, so results produced by one backend must
     # keep cache-hitting runs requested under another.
@@ -296,54 +297,6 @@ def _simulate_job(scenario, policy_obj, config: ReplicationConfig, seed: int,
     return _timed_call(worker, seed)
 
 
-def _run_group_batch(run, scenario, scenario_sig, config_sig, config,
-                     policy_name, group) -> bool | None:
-    """Try one policy's pending seeds as a single lockstep batch-kernel run.
-
-    Returns ``True``/``False`` with the usual budget meaning when the batch
-    kernel handled the group, ``None`` when it could not (inexpressible
-    configuration, a lone seed, or a kernel error) — the caller then falls
-    back to the per-seed serial path.  Respects ``max_jobs`` by truncating
-    the group to the remaining budget; the cut seeds stay pending for the
-    resume pass, exactly as the serial scheduler leaves them.
-    """
-    from ..sim.batch import batch_ineligibility, simulate_batch
-
-    budget = None
-    if run.lab.max_jobs is not None:
-        budget = max(0, run.lab.max_jobs - run.report.simulated)
-        if budget == 0:
-            return False
-    truncated = budget is not None and budget < len(group)
-    batch_group = group[:budget] if truncated else list(group)
-    if len(batch_group) < 2:
-        return None
-    policy_obj = scenario.build_policy(policy_name)
-    traces = [scenario.make_trace(config.duration, job.seed)
-              for job in batch_group]
-    if batch_ineligibility(policy_obj, traces) is not None:
-        return None
-    for job in batch_group:
-        run.record_started(job, worker="batch")
-    start = time.perf_counter()
-    try:
-        results = simulate_batch(
-            scenario.network, policy_obj, traces, config.warmup
-        )
-    except Exception:  # noqa: BLE001 - the serial path is the safety net
-        for job in batch_group:
-            run.job_entry(job)["status"] = "pending"
-        return None
-    share = (time.perf_counter() - start) / len(batch_group)
-    for job, result in zip(batch_group, results):
-        run.store.put_result(
-            job.key, result,
-            _provenance(scenario_sig, config_sig, job, backend="batch"),
-        )
-        run.record_finished(job, share)
-    return not truncated
-
-
 def _run_group_serial(run, scenario, scenario_sig, config_sig, config,
                       policy_name, group, max_seed_retries, backend="auto"):
     policy_obj = scenario.build_policy(policy_name)
@@ -365,7 +318,7 @@ def _run_group_serial(run, scenario, scenario_sig, config_sig, config,
             else:
                 run.store.put_result(
                     job.key, result,
-                    _provenance(scenario_sig, config_sig, job, backend=backend),
+                    _provenance(scenario_sig, config_sig, job, result.backend),
                 )
                 run.record_finished(job, elapsed)
                 break
@@ -373,7 +326,8 @@ def _run_group_serial(run, scenario, scenario_sig, config_sig, config,
 
 
 def _run_group_parallel(run, scenario, scenario_sig, config_sig, config,
-                        policy_name, group, max_workers, max_seed_retries):
+                        policy_name, group, max_workers, max_seed_retries,
+                        backend="auto"):
     """Fan one policy's pending seeds over the shared-context process pool."""
     policy_obj = scenario.build_policy(policy_name)
     attempts: dict[str, int] = {job.key: 0 for job in group}
@@ -384,7 +338,7 @@ def _run_group_parallel(run, scenario, scenario_sig, config_sig, config,
         initializer=_install_worker_context,
         initargs=(scenario.network, policy_obj, scenario.traffic_matrix,
                   config.duration, config.warmup,
-                  scenario.resolved_workload(config.duration)),
+                  scenario.resolved_workload(config.duration), backend),
     ) as pool:
         inflight = {}
         workers = max_workers or (os.cpu_count() or 1)
@@ -412,7 +366,8 @@ def _run_group_parallel(run, scenario, scenario_sig, config_sig, config,
                         )
                 else:
                     run.store.put_result(
-                        job.key, result, _provenance(scenario_sig, config_sig, job)
+                        job.key, result,
+                        _provenance(scenario_sig, config_sig, job, result.backend),
                     )
                     run.record_finished(job, elapsed)
             if not run.budget_left:
@@ -444,23 +399,19 @@ def run_lab_study(
     The public entry point behind ``repro.api.run_study(..., lab=...)``.
     Returns the same :class:`~repro.api.StudyResult` a direct run produces
     — bit-identical, whatever mix of cache hits and fresh simulation served
-    it — with the pass's :class:`LabRunReport` attached as ``.lab``
-    (a :class:`~repro.api.BatchResult` when the lockstep batch kernel
-    produced any of the results, this pass or a cached earlier one).
+    it — with the pass's :class:`LabRunReport` attached as ``.lab``.
 
-    ``backend`` selects the execution engine.  Under ``"auto"``/``"batch"``
-    the serial scheduler runs each policy's pending seeds as one lockstep
-    batch-kernel group when the configuration allows, falling back per seed
-    otherwise; ``"fast"``/``"reference"`` force the per-seed loops.  Job
-    keys never include the backend — every engine is bit-identical — so
-    cached results keep hitting whatever backend produced them; the engine
+    ``backend`` selects the execution engine per seed (see
+    :meth:`~repro.sim.simulator.LossNetworkSimulator.run`).  Job keys never
+    include the backend — every engine is bit-identical — so cached results
+    keep hitting whatever engine produced them; the engine that actually ran
     is recorded in each stored result's provenance instead.
 
     Raises :class:`LabInterrupted` when the pass stops early (``max_jobs``
     budget or ``KeyboardInterrupt``); completed jobs are already
     checkpointed, so the identical call resumes the study.
     """
-    from ..api import BatchResult, StudyResult
+    from ..api import StudyResult
     from .._compat import resolve_backend
 
     backend = resolve_backend(backend, None, owner="run_lab_study")
@@ -510,21 +461,13 @@ def run_lab_study(
             if parallel:
                 ok = _run_group_parallel(
                     run, scenario, scenario_sig, config_sig, config,
-                    name, group, max_workers, max_seed_retries,
+                    name, group, max_workers, max_seed_retries, backend=backend,
                 )
             else:
-                ok = None
-                if backend in ("auto", "batch"):
-                    ok = _run_group_batch(
-                        run, scenario, scenario_sig, config_sig, config,
-                        name, group,
-                    )
-                if ok is None:
-                    per_seed = backend if backend in ("fast", "reference") else "auto"
-                    ok = _run_group_serial(
-                        run, scenario, scenario_sig, config_sig, config,
-                        name, group, max_seed_retries, backend=per_seed,
-                    )
+                ok = _run_group_serial(
+                    run, scenario, scenario_sig, config_sig, config,
+                    name, group, max_seed_retries, backend=backend,
+                )
             if not ok:
                 finished_all = False
                 break
@@ -567,13 +510,8 @@ def run_lab_study(
             ))
             results.append(result)
         stat = aggregate([result.network_blocking for result in results])
-        group_backend = (
-            "batch"
-            if any(s.backend == "batch" for s in statuses)
-            else backend if backend in ("fast", "reference") else "auto"
-        )
         outcomes[name] = ReplicationOutcome(
-            stat, results, statuses, backend=group_backend
+            stat, results, statuses, backend=engine_of(statuses)
         )
     run.emit_progress()
     bus.emit(
@@ -582,9 +520,4 @@ def run_lab_study(
         elapsed=run.report.elapsed,
     )
     bus.close()
-    cls = (
-        BatchResult
-        if any(outcome.backend == "batch" for outcome in outcomes.values())
-        else StudyResult
-    )
-    return cls(outcomes=outcomes, config=config, lab=run.report)
+    return StudyResult(outcomes=outcomes, config=config, lab=run.report)

@@ -23,10 +23,9 @@ whose metastable bad mode the paper's control suppresses.
 
 Randomness comes from the per-trace ``substream(seed, "dar")`` stream,
 materialized by :meth:`route_draws` as **one row per call of the trace** and
-consumed positionally by absolute call index.  The scalar event loop and the
-lockstep batch kernel therefore see exactly the same draws, which is what
-makes their equivalence bit-exact, and adding this consumer perturbs no
-existing stream.
+consumed positionally by absolute call index, so a call's draw does not
+depend on which earlier calls consumed theirs, and adding this consumer
+perturbs no existing stream.
 """
 
 from __future__ import annotations

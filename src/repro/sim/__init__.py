@@ -23,14 +23,12 @@ from .signaling import (
 from .simulator import LossNetworkSimulator, simulate
 from .trace import ArrivalTrace, generate_multiclass_trace, generate_trace
 
-# Imported last: the batch kernel pulls in the routing package (for the
-# policy-compatibility check), which itself imports sim submodules — by now
-# they are all fully initialized, so the cycle never bites.
-from .batch import BatchSimulator, batch_ineligibility, simulate_batch  # noqa: E402
+# Imported last: the simulator pulls in the routing package, which itself
+# imports sim submodules — by now they are all fully initialized, so the
+# cycle never bites.
+from .batch import simulate_batch  # noqa: E402
 
 __all__ = [
-    "BatchSimulator",
-    "batch_ineligibility",
     "simulate_batch",
     "EventQueue",
     "FailureScenario",

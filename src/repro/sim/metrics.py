@@ -33,6 +33,10 @@ class SimulationResult:
     against :attr:`availability`; ``dropped[p]`` counts them per O-D pair,
     restricted — like ``offered``/``blocked`` — to calls that arrived inside
     the measured window.
+
+    ``backend`` records the engine that produced the counts: ``"compiled"``
+    for the admission kernel, ``"reference"`` for the general loop.  It is
+    provenance, not semantics — both engines are bit-identical.
     """
 
     od_pairs: tuple[tuple[int, int], ...]
@@ -47,6 +51,7 @@ class SimulationResult:
     class_offered: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     class_blocked: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     dropped: np.ndarray | None = None
+    backend: str | None = field(default=None, compare=False)
 
     @property
     def total_offered(self) -> int:

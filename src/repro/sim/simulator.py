@@ -20,22 +20,18 @@ Admission semantics:
   priced by the policy's per-link tables at current occupancies and the call
   takes the cheapest path iff that price does not exceed the call revenue.
 
-The simulator is deliberately a tight, allocation-light loop: occupancies
-live in a plain list, departures in a heap of
-``(time, path, width, pair, measured)`` entries.
-
-Two loops implement the semantics.  The *general* loop handles every
+Two engines implement the semantics.  The *general* loop handles every
 feature (faults, binned timelines, multi-class traces, bandwidths, link
-statistics, all disciplines) and doubles as the reference implementation.
-The *fast* loop specializes the common benchmark/replication shape —
-threshold discipline, unit bandwidth, no faults, no timeline — with
-per-pair route entries precompiled to bare ``(primary, alternates)`` tuple
-pairs, admission inlined into the call loop, and the trace consumed through
-a single ``zip``.  Both loops execute the identical admission decisions in
-the identical order, so every counter in the result (blocking, carried
-splits, drops) is bit-identical for a fixed seed; ``run(reference=True)``
-forces the general loop (the equivalence tests and perf benchmarks compare
-the two).
+statistics, all disciplines) and doubles as the reference implementation:
+occupancies live in a plain list, departures in a heap of
+``(time, path, width, pair, measured)`` entries.  The *compiled* kernel
+(:mod:`repro.sim.kernel`, C source in ``_kernel.c``) runs the common
+replication shape — the ``threshold`` and ``length-threshold``
+disciplines, unit bandwidth, no faults, no timeline — over a flat route
+table and a presorted departure order.  Both make the identical admission
+decisions in the identical order, so every counter in the result is
+bit-identical for a fixed seed; ``run(backend="reference")`` forces the
+general loop, and ``SimulationResult.backend`` records which engine ran.
 
 Dynamic faults (beyond the paper's static Section-4.2.2 scenarios): a
 :class:`~repro.sim.faultplane.FaultTimeline` makes links fail and recover
@@ -53,7 +49,6 @@ measure.
 from __future__ import annotations
 
 import heapq
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,6 +56,7 @@ import numpy as np
 from ..routing.base import RoutingPolicy
 from ..topology.graph import Network
 from .faultplane import FaultEvent, FaultStats, FaultTimeline
+from .kernel import KERNEL_DISCIPLINES, admit, load_kernel, route_table, threshold_rows
 from .metrics import BinnedSeries, SimulationResult
 from .trace import ArrivalTrace
 
@@ -68,9 +64,6 @@ __all__ = ["LossNetworkSimulator", "simulate"]
 
 _REVENUE_EPS = 1e-12
 _INFINITY = float("inf")
-#: Stand-in uniform column for traces whose pairs are all deterministic —
-#: the fast loop's zip never consumes a real variate then.
-_ZEROS = repeat(0.0)
 
 
 class LossNetworkSimulator:
@@ -151,37 +144,27 @@ class LossNetworkSimulator:
         else:
             self.initial_occupancy = None
 
-    def run(
-        self, reference: bool = False, backend: str | None = None
-    ) -> SimulationResult:
+    def run(self, backend: str = "auto") -> SimulationResult:
         """Run the simulation under the requested ``backend``.
 
-        ``backend="auto"`` (the default) picks the fastest engine whose
-        specialization fits; ``"batch"`` requests the lockstep array kernel
-        (one-seed batch); ``"fast"`` the per-seed vectorized loop;
-        ``"reference"`` forces the general event loop.  All engines make the
-        identical admission decisions in the identical order, so the returned
-        statistics are bit-identical regardless of backend — ineligible
-        requests silently fall back down the chain (batch → fast → general).
-        The ``reference`` boolean is the internal pre-``backend`` spelling
-        (``True`` ≡ ``backend="reference"``); the deprecation shim for it
-        lives in :func:`repro.sim.simulator.simulate`.
+        ``"auto"`` (the default) and ``"fast"`` run the compiled admission
+        kernel (:mod:`repro.sim.kernel`) whenever the configuration is in
+        its scope: the ``threshold`` or ``length-threshold`` discipline, unit
+        bandwidth, a single class, no fault plane, no timeline bins and no
+        link statistics.  Everything else, and every run when the kernel
+        cannot be built (one :class:`RuntimeWarning` says so), takes the
+        general event loop; ``"reference"`` forces that loop.  Both engines
+        make the identical admission decisions in the identical order, so
+        the statistics are bit-identical; ``SimulationResult.backend``
+        records which one ran (``"compiled"`` or ``"reference"``).
         """
-        if backend is None:
-            backend = "reference" if reference else "auto"
-        if backend == "reference":
-            return self._run_general()
-        if backend == "batch" and self._batch_eligible():
-            from .batch import BatchSimulator
-
-            return BatchSimulator(
-                self.network, self.policy, [self.trace], self.warmup
-            ).run()[0]
-        if self._fast_eligible():
-            return self._run_fast()
+        if backend != "reference" and self._kernel_eligible():
+            kernel = load_kernel()
+            if kernel is not None:
+                return self._run_compiled(kernel)
         return self._run_general()
 
-    def _fast_eligible(self) -> bool:
+    def _kernel_eligible(self) -> bool:
         trace = self.trace
         return (
             self.faults is None
@@ -189,193 +172,79 @@ class LossNetworkSimulator:
             and not self.collect_link_stats
             and trace.bandwidths is None
             and trace.class_index is None
-            and self.policy.discipline == "threshold"
+            and self.policy.discipline in KERNEL_DISCIPLINES
         )
 
-    def _batch_eligible(self) -> bool:
-        from .batch import batch_ineligibility
+    def _warm_start(self) -> tuple[np.ndarray, np.ndarray]:
+        """Warm-start calls as ``(link, remaining holding time)`` arrays.
 
-        return (
-            self.faults is None
-            and self.timeline_bin is None
-            and not self.collect_link_stats
-            and self.initial_occupancy is None
-            and batch_ineligibility(self.policy, [self.trace]) is None
+        One synthetic single-link call per pre-occupied circuit, in link
+        order, with exp(1) holding times from the trace seed's
+        ``warm-start`` substream.
+        """
+        from .rng import substream
+
+        links = np.repeat(
+            np.arange(self.network.num_links), self.initial_occupancy
+        ).astype(np.int32)
+        holding = substream(self.trace.seed, "warm-start").exponential(
+            1.0, size=links.size
         )
+        return links, holding
 
-    def _run_fast(self) -> SimulationResult:
-        """Specialized hot loop; see :meth:`run` for the eligibility rules.
+    def _run_compiled(self, kernel, threshold_schedule=None) -> SimulationResult:
+        """One kernel call; see :mod:`repro.sim.kernel` for the loop itself.
 
-        The trace is consumed in two phases split at the warmup boundary
-        (arrival times are non-decreasing), so the measured loop carries no
-        per-call warmup test and the warmup loop no counters; ``offered`` is
-        a single ``bincount`` over the measured arrivals.
-
-        There is no departure heap.  Every candidate departure time is known
-        up front (``times + holding_times``), so one stable argsort yields
-        the global release order; the loop walks a pointer over it and
-        releases each admitted call's path from a per-call slot.  Blocked
-        calls leave their slot empty and are skipped.  A call whose slot is
-        still unwritten because its *arrival* has not been processed yet
-        (possible only when a holding time is exactly zero) stops the walk —
-        the stable sort orders equal departure times by call index, so every
-        already-admitted release at that timestamp has been handled by then,
-        which keeps occupancy, and with it every admission decision,
-        bit-identical to the reference heap.
+        ``threshold_schedule`` (``[(time, thresholds), ...]``) switches the
+        alternate thresholds for calls arriving at or after each time; it is
+        reachable through :func:`repro.sim.batch.simulate_batch`.
         """
         trace = self.trace
-        num_links = self.network.num_links
-        capacities = self.network.capacities().tolist()
-        num_pairs = len(trace.od_pairs)
-        num_calls = len(trace.times)
-        warmup = self.warmup
-
-        occupancy = [0] * num_links
-        dep_times = trace.times + trace.holding_times
-        admitted: list[tuple[int, ...] | None] = [None] * num_calls
-        if self.initial_occupancy is not None:
-            from .rng import substream
-
-            warm_rng = substream(trace.seed, "warm-start")
-            warm_times = []
-            for link_index, count in enumerate(self.initial_occupancy):
-                for __ in range(int(count)):
-                    occupancy[link_index] += 1
-                    warm_times.append(float(warm_rng.exponential(1.0)))
-                    admitted.append((link_index,))
-            dep_times = np.concatenate([dep_times, np.asarray(warm_times)])
-        order = np.argsort(dep_times, kind="stable")
-        dep_sorted = dep_times[order].tolist()
-        dep_index = order.tolist()
-        total_deps = len(dep_index)
-        blocked = [0] * num_pairs
-        primary_carried = 0
-        alternate_carried = 0
-
-        policy = self.policy
-        if policy.alt_thresholds is None:
-            raise ValueError(f"policy {policy.name!r} lacks alternate thresholds")
-        thresholds = [int(t) for t in policy.alt_thresholds]
-        # Per-pair precompiled entries: deterministic pairs carry a bare
-        # (primary, alternates) tuple; bifurcated pairs carry the candidate
-        # entries plus the cumulative probabilities consulted per call.
-        single_entry: list[tuple | None] = []
-        multi: list[tuple | None] = []
-        for od in trace.od_pairs:
-            options = policy.choices.get(od, ())
-            if len(options) == 1:
-                single_entry.append((options[0].primary, options[0].alternates))
-                multi.append(None)
-            elif len(options) == 0:
-                single_entry.append(None)
-                multi.append(None)
-            else:
-                single_entry.append(None)
-                multi.append(
-                    (
-                        [(c.primary, c.alternates) for c in options],
-                        policy.cum_probs[od].tolist(),
-                    )
-                )
-        has_multi = any(entry is not None for entry in multi)
-
-        warm_count = int(np.searchsorted(trace.times, warmup, side="left"))
-        times = trace.times.tolist()
-        od_index = trace.od_index.tolist()
-        holding = trace.holding_times.tolist()
-        uniforms = trace.uniforms.tolist() if has_multi else None
-
-        ptr = 0
-        call_i = 0
-        for phase in (0, 1):
-            section = (
-                slice(0, warm_count) if phase == 0
-                else slice(warm_count, num_calls)
+        table = route_table(self.policy, trace.od_pairs)
+        capacities = self.network.capacities()
+        rows, row_stride, switch_times = threshold_rows(
+            self.policy, table, capacities, threshold_schedule
+        )
+        occupancy = np.zeros(self.network.num_links, dtype=np.int32)
+        if self.initial_occupancy is None:
+            warm_links = np.zeros(0, dtype=np.int32)
+            dep_order, dep_times = trace.departure_order
+        else:
+            occupancy += self.initial_occupancy.astype(np.int32)
+            warm_links, warm_holding = self._warm_start()
+            departures = np.concatenate(
+                [trace.times + trace.holding_times, warm_holding]
             )
-            counted = phase == 1
-            if has_multi:
-                rows = zip(
-                    times[section], od_index[section],
-                    holding[section], uniforms[section],
-                )
-            else:
-                rows = zip(
-                    times[section], od_index[section],
-                    holding[section], _ZEROS,
-                )
-            for now, pair, hold, u in rows:
-                while ptr < total_deps and dep_sorted[ptr] <= now:
-                    j = dep_index[ptr]
-                    if call_i <= j < num_calls:
-                        break  # that call's arrival is still ahead of us
-                    path = admitted[j]
-                    ptr += 1
-                    if path is not None:
-                        for link in path:
-                            occupancy[link] -= 1
-                entry = single_entry[pair]
-                if entry is None:
-                    options = multi[pair]
-                    if options is None:
-                        # Disconnected pair: the call is necessarily lost.
-                        if counted:
-                            blocked[pair] += 1
-                        call_i += 1
-                        continue
-                    route_options, cum = options
-                    pick = 0
-                    while pick < len(cum) - 1 and u >= cum[pick]:
-                        pick += 1
-                    entry = route_options[pick]
-                primary, alternates = entry
-                for link in primary:
-                    if occupancy[link] >= capacities[link]:
-                        break
-                else:
-                    for link in primary:
-                        occupancy[link] += 1
-                    admitted[call_i] = primary
-                    call_i += 1
-                    if counted:
-                        primary_carried += 1
-                    continue
-                path = None
-                for alt in alternates:
-                    for link in alt:
-                        if occupancy[link] >= thresholds[link]:
-                            break
-                    else:
-                        path = alt
-                        break
-                if path is None:
-                    if counted:
-                        blocked[pair] += 1
-                    call_i += 1
-                    continue
-                for link in path:
-                    occupancy[link] += 1
-                admitted[call_i] = path
-                call_i += 1
-                if counted:
-                    alternate_carried += 1
-
+            dep_order = np.argsort(departures, kind="stable")
+            dep_times = departures[dep_order]
+        first_measured = int(np.searchsorted(trace.times, self.warmup, side="left"))
+        blocked, primary_carried, alternate_carried = admit(
+            kernel, table,
+            times=trace.times, od_index=trace.od_index, uniforms=trace.uniforms,
+            first_measured=first_measured,
+            dep_order=dep_order, dep_times=dep_times, warm_links=warm_links,
+            capacities=capacities, rows=rows, row_stride=row_stride,
+            switch_times=switch_times, occupancy=occupancy,
+        )
+        num_pairs = len(trace.od_pairs)
         offered = np.bincount(
-            trace.od_index[warm_count:], minlength=num_pairs
+            trace.od_index[first_measured:], minlength=num_pairs
         ).astype(np.int64)
         num_classes = len(trace.class_names)
         return SimulationResult(
             od_pairs=trace.od_pairs,
             offered=offered,
-            blocked=np.asarray(blocked, dtype=np.int64),
+            blocked=blocked,
             primary_carried=primary_carried,
             alternate_carried=alternate_carried,
-            warmup=warmup,
+            warmup=self.warmup,
             duration=trace.duration,
             seed=trace.seed,
             class_names=trace.class_names,
             class_offered=np.zeros(num_classes, dtype=np.int64),
             class_blocked=np.zeros(num_classes, dtype=np.int64),
             dropped=None,
+            backend="compiled",
         )
 
     def _run_general(self) -> SimulationResult:
@@ -402,15 +271,9 @@ class LossNetworkSimulator:
         occupancy = [0] * num_links
         departures: list[tuple[float, tuple[int, ...], int, int, int]] = []
         if self.initial_occupancy is not None:
-            from .rng import substream
-
-            warm_rng = substream(trace.seed, "warm-start")
-            for link_index, count in enumerate(self.initial_occupancy):
-                for __ in range(int(count)):
-                    occupancy[link_index] += 1
-                    departures.append(
-                        (float(warm_rng.exponential(1.0)), (link_index,), 1, -1, 0)
-                    )
+            for link, holding_time in zip(*self._warm_start()):
+                occupancy[link] += 1
+                departures.append((float(holding_time), (int(link),), 1, -1, 0))
             heapq.heapify(departures)
         offered = [0] * num_pairs
         blocked = [0] * num_pairs
@@ -656,6 +519,7 @@ class LossNetworkSimulator:
             class_offered=np.asarray(class_offered, dtype=np.int64),
             class_blocked=np.asarray(class_blocked, dtype=np.int64),
             dropped=np.asarray(dropped, dtype=np.int64) if dynamic else None,
+            backend="reference",
         )
 
     # ----------------------------------------------------- policy compilation
@@ -830,9 +694,8 @@ class LossNetworkSimulator:
         alternate; if that is infeasible the call is lost and the pair
         resamples its sticky index from the call's positional draw in
         ``policy.route_draws(trace)`` — draw ``j`` belongs to call ``j``
-        whether or not earlier calls consumed theirs, which is what keeps
-        the scalar loop and the batch kernel on identical streams.  Sticky
-        state resets on fault-plane reconvergence (the closure is rebuilt).
+        whether or not earlier calls consumed theirs.  Sticky state resets
+        on fault-plane reconvergence (the closure is rebuilt).
         """
         draws = policy.route_draws(self.trace)
         sticky = [0] * len(self.trace.od_pairs)
@@ -862,9 +725,8 @@ class LossNetworkSimulator:
         A primary-blocked call samples ``d`` alternates (with replacement)
         from its positional draw row and takes the first one attaining the
         best bottleneck score ``min(threshold - occupancy)``; it is admitted
-        iff that score covers the call's width.  Evaluating the score for
-        infeasible candidates too keeps the selection identical to the batch
-        kernel's argmax formulation.
+        iff that score covers the call's width.  The score is evaluated for
+        infeasible candidates too (an argmax over all ``d`` samples).
         """
         draws = policy.route_draws(self.trace)
 
@@ -949,10 +811,9 @@ def simulate(
     Every constructor knob is plumbed through, so link statistics, warm
     starts and the dynamic fault plane are all reachable without touching
     the class directly.  ``backend`` selects the engine (``"auto"`` /
-    ``"batch"`` / ``"fast"`` / ``"reference"``, see
-    :meth:`LossNetworkSimulator.run`); the legacy ``reference=True`` flag
-    still maps to ``backend="reference"`` through the
-    :func:`repro._compat.resolve_backend` deprecation shim.
+    ``"fast"`` / ``"reference"``, see :meth:`LossNetworkSimulator.run`);
+    the legacy ``reference=True`` flag still maps to ``backend="reference"``
+    through the :func:`repro._compat.resolve_backend` deprecation shim.
     """
     from .._compat import resolve_backend
 

@@ -14,6 +14,7 @@ primaries need one).  Generation is fully vectorized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +52,18 @@ class ArrivalTrace:
     @property
     def num_calls(self) -> int:
         return int(self.times.size)
+
+    @cached_property
+    def departure_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, times)``: calls sorted by departure time, and those times.
+
+        The sort is stable, so calls departing at the same instant keep
+        call order.  Computed once per trace: under common random numbers
+        every policy replays the same trace and reuses it.
+        """
+        departures = self.times + self.holding_times
+        order = np.argsort(departures, kind="stable")
+        return order, departures[order]
 
     @property
     def is_multiclass(self) -> bool:

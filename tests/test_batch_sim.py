@@ -1,14 +1,15 @@
-"""Lockstep batch kernel vs the per-seed loops: bit-identity and plumbing.
+"""Many-seed runs (``simulate_batch``, ``run_study``) vs the reference loop.
 
-The batch simulator's contract is exact: for every seed the per-pair
-offered/blocked counters, the carried splits and every derived statistic
-must match ``backend="reference"`` bit for bit — on stationary NSFNet
-traffic, on adversarial workload traces, and for each supported routing
-discipline (threshold, DAR, power-of-d).  The plumbing half covers the
-``backend=`` redesign: fault planes fall back transparently, seed order
-cannot matter, ``run_study`` surfaces a :class:`BatchResult`, and the lab
-records the producing backend in provenance without disturbing job keys
-(so batch-produced results keep serving later runs from cache).
+The contract is exact: for every seed the per-pair offered/blocked
+counters, the carried splits and every derived statistic must match
+``backend="reference"`` bit for bit — on stationary NSFNet traffic, on
+adversarial workload traces, and for DAR and power-of-d (which run on the
+general loop).  The plumbing half covers provenance: fault planes fall back
+to the general loop and say so, seed order cannot matter, ``run_study``
+records the engine that ran, and the lab records it in provenance without
+disturbing job keys (so results keep serving later runs from cache).
+The randomized kernel-vs-reference differential lives in
+``tests/test_kernel.py``.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import BatchResult, LabConfig, Scenario, StudyResult, run_study
+from repro.api import LabConfig, Scenario, StudyResult, run_study
 from repro.experiments.runner import ReplicationConfig, run_replications_detailed
 from repro.routing.alternate import (
     ControlledAlternateRouting,
     UncontrolledAlternateRouting,
 )
 from repro.routing.dar import DynamicAlternateRouting, PowerOfDAlternateRouting
-from repro.sim.batch import BatchSimulator, batch_ineligibility, simulate_batch
+from repro.sim.batch import simulate_batch
 from repro.sim.faultplane import single_failure_timeline
 from repro.sim.simulator import simulate
 from repro.sim.trace import generate_trace
@@ -89,11 +90,11 @@ class TestBitIdentity:
         loads = primary_link_loads(network, table, traffic)
         policy = ControlledAlternateRouting(network, table, loads)
         trace = generate_trace(traffic, 30.0, 5)
-        via_batch = simulate(network, policy, trace, warmup=10.0,
-                             backend="batch")
+        (via_batch,) = simulate_batch(network, policy, [trace], warmup=10.0)
         via_fast = simulate(network, policy, trace, warmup=10.0,
                             backend="fast")
         _assert_bit_identical(via_batch, via_fast)
+        assert via_batch.backend == via_fast.backend == "compiled"
 
     def test_seed_order_invariance(self):
         network, table, traffic = _nsfnet()
@@ -119,6 +120,7 @@ class TestRandomAlternateDisciplines:
             ref = simulate(network, policy, trace, warmup=10.0,
                            backend="reference")
             _assert_bit_identical(result, ref, f"dar r={reservation}")
+            assert result.backend == "reference"
 
     def test_dar_theorem1_thresholds_match_scalar_loop(self):
         network, table, traffic = _nsfnet()
@@ -141,6 +143,7 @@ class TestRandomAlternateDisciplines:
             ref = simulate(network, policy, trace, warmup=10.0,
                            backend="reference")
             _assert_bit_identical(result, ref, f"power-of-{d}")
+            assert result.backend == "reference"
 
 
 class TestFallbacks:
@@ -150,13 +153,14 @@ class TestFallbacks:
         policy = ControlledAlternateRouting(network, table, loads)
         trace = generate_trace(traffic, 40.0, 11)
         timeline = single_failure_timeline(2, 3, fail_at=15.0, repair_at=30.0)
-        # A fault plane is inexpressible in the lockstep kernel; backend
-        # "batch" must degrade to the general loop, not error.
-        via_batch = simulate(network, policy, trace, warmup=10.0,
-                             faults=timeline, backend="batch")
+        # A fault plane is outside the kernel's scope; backend "auto" must
+        # run the general loop and record that it did.
+        via_auto = simulate(network, policy, trace, warmup=10.0,
+                            faults=timeline, backend="auto")
         ref = simulate(network, policy, trace, warmup=10.0, faults=timeline,
                        backend="reference")
-        _assert_bit_identical(via_batch, ref)
+        _assert_bit_identical(via_auto, ref)
+        assert via_auto.backend == "reference"
 
     def test_ineligibility_names_the_reason(self):
         network, table, traffic = _nsfnet()
@@ -165,10 +169,11 @@ class TestFallbacks:
         loads = primary_link_loads(network, table, traffic)
         policy = OttKrishnanRouting(network, table, loads)
         traces = [generate_trace(traffic, 20.0, 0)]
-        reason = batch_ineligibility(policy, traces)
-        assert reason is not None and "batch kernel" in reason
-        with pytest.raises(ValueError, match="batch kernel"):
-            BatchSimulator(network, policy, traces)
+        with pytest.raises(ValueError, match="'threshold' or 'length-threshold'"):
+            simulate_batch(network, policy, traces,
+                           threshold_schedule=[(12.0, policy.network.capacities())])
+        (result,) = simulate_batch(network, policy, traces)
+        assert result.backend == "reference"
 
     def test_runner_falls_back_per_seed_for_ineligible_policy(self):
         network, table, traffic = _nsfnet()
@@ -180,8 +185,8 @@ class TestFallbacks:
         outcome = run_replications_detailed(
             network, policy, traffic, config, backend="auto"
         )
-        assert outcome.backend == "auto"
-        assert all(s.backend == "auto" for s in outcome.statuses)
+        assert outcome.backend == "reference"
+        assert all(s.backend == "reference" for s in outcome.statuses)
 
 
 class TestBatchResult:
@@ -191,23 +196,27 @@ class TestBatchResult:
         return Scenario(topology="nsfnet", traffic="nominal",
                         policy="controlled")
 
-    def test_run_study_returns_batch_result(self):
+    def test_run_study_records_compiled_backend(self):
         study = run_study(self._scenario(), config=self.QUICK)
-        assert isinstance(study, BatchResult)
-        assert study.outcome.backend == "batch"
-        assert study.backends == {"controlled": "batch"}
+        assert type(study) is StudyResult
+        assert study.outcome.backend == "compiled"
+        assert study.backends == {"controlled": "compiled"}
 
     def test_forced_per_seed_backend_returns_plain_study(self):
-        study = run_study(self._scenario(), config=self.QUICK, backend="fast")
-        assert isinstance(study, StudyResult)
-        assert not isinstance(study, BatchResult)
-        assert study.outcome.backend == "fast"
+        study = run_study(self._scenario(), config=self.QUICK,
+                          backend="reference")
+        assert type(study) is StudyResult
+        assert study.outcome.backend == "reference"
+        assert study.backends == {"controlled": "reference"}
 
     def test_batch_and_fast_studies_bit_identical(self):
-        batch = run_study(self._scenario(), config=self.QUICK)
-        fast = run_study(self._scenario(), config=self.QUICK, backend="fast")
-        for res_b, res_f in zip(batch.outcome.results, fast.outcome.results):
-            _assert_bit_identical(res_b, res_f)
+        default = run_study(self._scenario(), config=self.QUICK)
+        for backend in ("fast", "reference"):
+            other = run_study(self._scenario(), config=self.QUICK,
+                              backend=backend)
+            for res_a, res_b in zip(default.outcome.results,
+                                    other.outcome.results):
+                _assert_bit_identical(res_a, res_b, backend)
 
     def test_per_seed_and_matrices(self):
         study = run_study(self._scenario(), config=self.QUICK)
@@ -242,7 +251,7 @@ class TestLabProvenance:
         lab = LabConfig(store=tmp_path / "store")
         scenario = self._scenario()
         first = run_study(scenario, config=self.QUICK, lab=lab)
-        assert isinstance(first, BatchResult)
+        assert first.outcome.backend == "compiled"
         assert first.lab.simulated == len(self.QUICK.seeds)
 
         store = ResultStore(tmp_path / "store")
@@ -251,7 +260,7 @@ class TestLabProvenance:
         for seed in self.QUICK.seeds:
             key = job_key(sig, "controlled", csig, seed, RESULT_SCHEMA_VERSION)
             document = store.get(key)
-            assert document["provenance"]["backend"] == "batch"
+            assert document["provenance"]["backend"] == "compiled"
 
         # The job key is backend-independent, so a resumed run — even one
         # requesting a different engine — must serve every seed from cache
@@ -267,5 +276,5 @@ class TestLabProvenance:
         lab = LabConfig(store=tmp_path / "store")
         study = run_study(self._scenario(), config=self.QUICK, lab=lab)
         assert all(
-            s.backend == "batch" for s in study.outcome.statuses
+            s.backend == "compiled" for s in study.outcome.statuses
         )

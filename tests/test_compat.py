@@ -88,7 +88,7 @@ class TestResolveBackend:
     def test_plain_backend_passes_through(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for name in ("auto", "batch", "fast", "reference"):
+            for name in ("auto", "fast", "reference"):
                 assert resolve_backend(name, None) == name
 
     def test_defaults_to_auto(self):

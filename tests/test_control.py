@@ -11,7 +11,7 @@ Three layers of guarantee, mirroring the subsystem's design:
   trace yields a bit-stable ``decisions_sha256`` (what the CI smoke job
   asserts across interpreter runs);
 * **swap equivalence** — the hot-swap path is proven safe by oracles:
-  the batch kernel's ``threshold_schedule`` support must match an engine
+  the compiled kernel's ``threshold_schedule`` support must match an engine
   replay with ``NetworkState.hot_swap`` at the same times, and an
   ordered-mode cluster replay with ``ClusterRouter.hot_swap`` must be
   bit-identical to the single-process engine given the same swap
@@ -41,7 +41,7 @@ from repro.serve import ClusterConfig, ClusterRouter, RequestEngine
 from repro.serve.loadgen import aggregate_decisions, trace_requests
 from repro.serve.shard import ShardWorker
 from repro.serve.state import NetworkState
-from repro.sim.batch import batch_ineligibility, simulate_batch
+from repro.sim.batch import simulate_batch
 from repro.sim.trace import generate_trace
 from repro.traffic.demand import primary_link_loads
 from repro.traffic.generators import uniform_traffic
@@ -319,7 +319,7 @@ class TestHotSwapState:
 
 
 class TestBatchScheduleEquivalence:
-    """The batch kernel's piecewise-constant thresholds vs hot_swap."""
+    """The compiled kernel's piecewise-constant thresholds vs hot_swap."""
 
     def _engine_replay_with_swaps(self, network, policy, trace, schedule):
         """Engine oracle: decide in segments, hot_swap at the boundaries."""
@@ -412,22 +412,18 @@ class TestBatchScheduleEquivalence:
         policy = ControlledAlternateRouting(quad_network, quad_table, loads)
         trace = generate_trace(traffic, duration=10.0, seed=0)
         thr = NetworkState(quad_network, policy).alt_thresholds
-        assert batch_ineligibility(policy, [trace]) is None
-        assert batch_ineligibility(
-            policy, [trace], threshold_schedule=[(5.0, thr)]
-        ) is None
-        reason = batch_ineligibility(
-            policy, [trace], threshold_schedule=[(5.0, thr), (5.0, thr)]
-        )
-        assert "strictly" in reason
-        reason = batch_ineligibility(
-            policy, [trace], threshold_schedule=[(0.0, thr)]
-        )
-        assert "positive" in reason
-        reason = batch_ineligibility(
-            policy, [trace], threshold_schedule=[(5.0,)]
-        )
-        assert "(time, thresholds)" in reason
+        simulate_batch(quad_network, policy, [trace], 5.0)
+        simulate_batch(quad_network, policy, [trace], 5.0,
+                       threshold_schedule=[(5.0, thr)])
+        with pytest.raises(ValueError, match="strictly"):
+            simulate_batch(quad_network, policy, [trace], 5.0,
+                           threshold_schedule=[(5.0, thr), (5.0, thr)])
+        with pytest.raises(ValueError, match="positive"):
+            simulate_batch(quad_network, policy, [trace], 5.0,
+                           threshold_schedule=[(0.0, thr)])
+        with pytest.raises(ValueError, match=r"\(time, thresholds\)"):
+            simulate_batch(quad_network, policy, [trace], 5.0,
+                           threshold_schedule=[(5.0,)])
 
     def test_random_alternate_policies_reject_schedules(
         self, quad_network, quad_table
@@ -438,10 +434,9 @@ class TestBatchScheduleEquivalence:
         traffic = uniform_traffic(quad_network.num_nodes, 95.0)
         trace = generate_trace(traffic, duration=10.0, seed=0)
         thr = np.zeros(quad_network.num_links, dtype=np.int64)
-        reason = batch_ineligibility(
-            policy, [trace], threshold_schedule=[(5.0, thr)]
-        )
-        assert "mid-run threshold updates" in reason
+        with pytest.raises(ValueError, match="mid-run threshold updates"):
+            simulate_batch(quad_network, policy, [trace], 5.0,
+                           threshold_schedule=[(5.0, thr)])
 
 
 class TestClusterSwapEquivalence:

@@ -2,7 +2,7 @@
 
 The perf core keeps every original code path callable — the simulator via
 ``backend="reference"``, the analysis kernels via their ``reference=True``
-flag.  The simulator's fast loop makes the exact same
+flag.  The simulator's compiled kernel makes the exact same
 admission decisions in the exact same order, so its statistics must be
 bit-identical; the analysis kernels change only float accumulation order
 (the batch Erlang kernel sums the Horner recursion as one cumulative
