@@ -10,14 +10,14 @@ four barrier-released loadgen client processes.
   engine), clients streaming pre-encoded lines;
 * **cluster** — four shard worker processes behind a pipelined
   :class:`~repro.serve.cluster.ClusterRouter`, clients streaming
-  pre-pickled batch frames.
+  pre-encoded JSON batch frames.
 
 The speedup bar is **hardware-aware**: the cluster's win is parallel
 shard decisions, so the nominal 3x bar presumes the shards actually get
 cores.  The bar scales by ``min(1, (cpu_count - 1) / num_shards)`` —
 full 3x with five or more cores, proportionally less below, zero on a
 single-core box where nine processes time-slice one CPU and only the
-wire-protocol efficiency (batched pickle frames vs per-request JSON
+wire-protocol efficiency (batched JSON frames vs per-request JSON
 lines) can show through.  ``REPRO_BENCH_SPEEDUP_SCALE`` overrides the
 derived scale, as in the other benchmarks.
 

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from ._compat import resolve_backend
 from .lab.config import LabConfig
 from .experiments.runner import (
     PAPER_CONFIG,
@@ -48,7 +47,7 @@ from .routing.dar import DynamicAlternateRouting, PowerOfDAlternateRouting
 from .routing.shadow import OttKrishnanRouting
 from .routing.single_path import SinglePathRouting
 from .sim.metrics import SimulationResult, SweepStatistic
-from .sim.simulator import simulate
+from .sim.simulator import check_backend, simulate
 from .sim.trace import generate_trace
 from .topology.generators import quadrangle
 from .topology.graph import Network
@@ -309,24 +308,20 @@ def run_scenario(
     seed: int = 0,
     duration: float = PAPER_CONFIG.duration,
     warmup: float = PAPER_CONFIG.warmup,
-    reference: bool | None = None,
-    backend: str | None = None,
+    backend: str = "auto",
 ) -> SimulationResult:
     """Simulate one seed of a scenario; returns the full per-pair result.
 
     ``duration`` is total simulated time including the ``warmup`` transient
     (the paper's protocol: 110 units, first 10 discarded).  ``backend``
-    selects the simulation engine — ``"auto"`` (default) or ``"fast"`` for
-    the compiled kernel where it applies, ``"reference"`` for the general
-    oracle loop; all produce bit-identical statistics.  The legacy
-    ``reference=True`` flag maps to ``backend="reference"`` with a
-    :class:`DeprecationWarning`.
+    selects the simulation engine — ``"auto"`` (default) for the compiled
+    kernel where it applies, ``"reference"`` for the general oracle loop;
+    both produce bit-identical statistics.
     """
-    resolved = resolve_backend(backend, reference, owner="run_scenario")
     trace = scenario.make_trace(duration, seed)
     return simulate(
         scenario.network, scenario.build_policy(), trace, warmup,
-        backend=resolved,
+        backend=backend,
     )
 
 
@@ -373,7 +368,7 @@ def run_study(
     served from its result store without simulating — so
     ``wall_clock`` then measures the store lookup, not a simulation.
     """
-    backend = resolve_backend(backend, None, owner="run_study")
+    check_backend(backend)
     if lab is not None:
         from .lab.scheduler import run_lab_study
 

@@ -46,7 +46,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._compat import BACKENDS
 from .analysis.bistability import find_fixed_points
 from .core.protection import min_protection_level
 from .core.theorem import verify_theorem1
@@ -58,6 +57,7 @@ from .experiments.figures import (
 from .experiments.report import format_sweep, format_table, format_table1
 from .experiments.runner import PAPER_CONFIG
 from .experiments.tables import regenerate_table1, table1_agreement
+from .sim.simulator import BACKENDS
 
 __all__ = ["main"]
 

@@ -21,8 +21,13 @@ CONTROLLER_NAMES = ("gradient", "markov")
 
 
 def _hop_lengths(state: NetworkState) -> tuple[int, ...]:
-    if state.length_thresholds is not None:
-        return tuple(sorted(state.length_thresholds))
+    """The hop counts the controller sets levels for.
+
+    Per-length policies control one bound-table row per alternate hop
+    count; the scalar discipline has one family, keyed by its design ``H``.
+    """
+    if state.policy.discipline == "length-threshold":
+        return tuple(sorted(int(h) for h in state.policy.length_thresholds))
     hops = getattr(state.policy, "max_hops", None)
     if hops is None:
         hops = max(
@@ -35,15 +40,12 @@ def _hop_lengths(state: NetworkState) -> tuple[int, ...]:
     return (int(hops),)
 
 
-def _initial_levels(state: NetworkState) -> dict[int, np.ndarray]:
-    capacities = state.capacities
-    if state.length_thresholds is not None:
-        return {
-            int(h): (capacities - row).astype(np.int64)
-            for h, row in state.length_thresholds.items()
-        }
-    (h,) = _hop_lengths(state)
-    return {h: (capacities - state.alt_thresholds).astype(np.int64)}
+def _initial_levels(state: NetworkState, hop_lengths) -> dict[int, np.ndarray]:
+    if state.policy.discipline == "length-threshold":
+        rows = {h: state.bounds[h] for h in hop_lengths}
+    else:
+        rows = {h: state.alt_thresholds for h in hop_lengths}
+    return {h: (state.capacities - row).astype(np.int64) for h, row in rows.items()}
 
 
 def make_control_loop(
@@ -84,7 +86,7 @@ def make_control_loop(
         strategy = ErlangGradientController(
             state.network,
             hop_lengths,
-            _initial_levels(state),
+            _initial_levels(state, hop_lengths),
             trust_radius=trust_radius,
         )
     else:

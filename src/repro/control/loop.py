@@ -24,8 +24,6 @@ import json
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..serve.state import NetworkState
 from ..serve.telemetry import MetricsRegistry
 from .controllers import Controller, ControlProposal, SafetyClamp
@@ -174,20 +172,12 @@ class ControlLoop:
                 info=dict(proposal.info),
             )
         start = time.perf_counter()
-        if state.length_thresholds is not None:
-            tables = {
-                h: np.asarray(row, dtype=np.int64)
-                for h, row in thresholds.items()
-                if h in state.length_thresholds
-            }
-            max_delta = state.hot_swap(length_thresholds=tables, now=now)
+        # Per-length proposals name bound-table rows; the scalar
+        # discipline's one hop family applies to every hop count.
+        if state.policy.discipline == "length-threshold":
+            max_delta = state.hot_swap(thresholds, now=now)
         else:
-            # Scalar discipline: one hop family; its thresholds are the bound.
-            h = min(thresholds)
-            max_delta = state.hot_swap(
-                alt_thresholds=np.asarray(thresholds[h], dtype=np.int64),
-                now=now,
-            )
+            max_delta = state.hot_swap(thresholds[min(thresholds)], now=now)
         swap_seconds = time.perf_counter() - start
         self.active_prefix = proposal.alt_prefix
         self._m_swaps.inc()

@@ -26,10 +26,9 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .._compat import positional_shim, resolve_backend
 from ..routing.base import RoutingPolicy
 from ..sim.metrics import SimulationResult, SweepStatistic, aggregate
-from ..sim.simulator import simulate
+from ..sim.simulator import check_backend, simulate
 from ..sim.trace import ArrivalTrace, generate_trace
 from ..topology.graph import Network
 from ..traffic.matrix import TrafficMatrix
@@ -108,13 +107,11 @@ def _timed_call(worker: Callable, payload) -> tuple[float, SimulationResult]:
     return time.perf_counter() - start, result
 
 
-@positional_shim
 @dataclass(frozen=True, kw_only=True)
 class ReplicationConfig:
     """Replication parameters; defaults reproduce the paper's setup.
 
     Keyword-only: construct as ``ReplicationConfig(measured_duration=...)``.
-    Positional construction still works but is deprecated.
     """
 
     measured_duration: float = 100.0
@@ -370,7 +367,7 @@ def run_replications_detailed(
     reported in the outcome's statuses; the sweep still completes unless
     *every* seed failed (then ``RuntimeError``).
     """
-    backend = resolve_backend(backend, None, owner="run_replications_detailed")
+    check_backend(backend)
     if parallel and traces is None:
         if worker is _replication_worker:
             # Default worker: ship the shared (network, policy, traffic)

@@ -41,6 +41,7 @@ from ..experiments.runner import (
     engine_of,
 )
 from ..sim.metrics import aggregate
+from ..sim.simulator import check_backend
 from .config import LabConfig
 from .events import EventBus
 from .hashing import config_signature, job_key, scenario_signature, study_key
@@ -412,9 +413,7 @@ def run_lab_study(
     checkpointed, so the identical call resumes the study.
     """
     from ..api import StudyResult
-    from .._compat import resolve_backend
-
-    backend = resolve_backend(backend, None, owner="run_lab_study")
+    check_backend(backend)
     lab = lab if lab is not None else LabConfig()
     store = ResultStore(lab.store_path)
     names = (scenario.policy,) if policies is None else tuple(policies)

@@ -20,15 +20,21 @@ The simulator dispatches on :attr:`RoutingPolicy.discipline`.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..topology.graph import Network
 from ..topology.paths import Path, PathTable
 
-__all__ = ["RouteChoice", "RoutingPolicy", "compile_route_choices"]
+__all__ = [
+    "RouteChoice",
+    "RoutingPolicy",
+    "bound_table",
+    "compile_route_choices",
+    "policy_bounds",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,3 +159,64 @@ def compile_route_choices(
         choices[od] = od_choices
         cum_probs[od] = np.cumsum(probs)
     return choices, cum_probs
+
+
+def bound_table(spec, capacities, base: np.ndarray | int) -> np.ndarray:
+    """Apply one threshold spec to an admission-bound table.
+
+    A bound table is an ``(hops + 1, links)`` int64 array whose row ``h``
+    bounds alternates of ``h`` hops; under the ``threshold`` discipline
+    every row is the same vector.  ``base`` is the table in force, or a hop
+    count for a fresh table whose rows ``0..hops`` all read capacity.
+    ``spec`` is a per-link vector (every row takes it) or a
+    ``{hops: per-link}`` mapping (the named rows change, the rest are
+    kept).  Returns a new read-only table and leaves ``base`` untouched.
+
+    Raises :class:`ValueError` for a vector that is not per-link, a bound
+    outside ``[0, capacity]``, or a hop count the table has no row for.
+    """
+    capacities = np.asarray(capacities, dtype=np.int64)
+    if isinstance(base, np.ndarray):
+        table = base.copy()
+    else:
+        table = np.tile(capacities, (int(base) + 1, 1))
+    if isinstance(spec, Mapping):
+        unknown = sorted(int(h) for h in spec if not 0 <= int(h) < len(table))
+        if unknown:
+            raise ValueError(f"no bound row for hop counts {unknown}")
+        for hops, row in spec.items():
+            table[int(hops)] = _bound_row(row, capacities)
+    else:
+        table[:] = _bound_row(spec, capacities)
+    table.flags.writeable = False
+    return table
+
+
+def _bound_row(values, capacities: np.ndarray) -> np.ndarray:
+    row = np.asarray(values, dtype=np.int64)
+    if row.shape != capacities.shape:
+        raise ValueError(
+            f"thresholds must be per-link, shape {capacities.shape}, got {row.shape}"
+        )
+    if (row < 0).any() or (row > capacities).any():
+        raise ValueError("thresholds must lie in [0, capacity]")
+    return row
+
+
+def policy_bounds(policy: RoutingPolicy, hops: int) -> np.ndarray:
+    """The policy's own bound table, with rows for at least ``0..hops``.
+
+    ``length-threshold`` policies contribute their per-hop-length
+    ``length_thresholds`` (hop counts they omit stay at capacity); every
+    other threshold policy its per-link ``alt_thresholds``.
+    """
+    if policy.discipline == "length-threshold":
+        spec = getattr(policy, "length_thresholds", None)
+        if spec is None:
+            raise ValueError(f"policy {policy.name!r} lacks length thresholds")
+        hops = max([hops, *map(int, spec)])
+    else:
+        spec = policy.alt_thresholds
+        if spec is None:
+            raise ValueError(f"policy {policy.name!r} lacks alternate thresholds")
+    return bound_table(spec, policy.network.capacities(), hops)

@@ -26,10 +26,10 @@ Two router modes trade determinism against throughput:
   trace (the replay-equivalence oracle in ``tests/test_cluster.py``), and
   it is the mode the chaos smoke uses so fault-free prefixes stay
   comparable;
-* ``pipelined`` — every request is its own task; per-shard command
-  buffers are flushed once per event-loop pass so hundreds of commands
-  share one pickle frame.  Concurrent set-ups may race for the same
-  circuits; the loser's reserve is refused and it cranks back — the
+* ``pipelined`` — batches are decided in candidate rounds; per-shard
+  command buffers are flushed once per event-loop pass so hundreds of
+  commands share one pipe frame.  Concurrent set-ups may race for the
+  same circuits; the loser's reserve is refused and it cranks back — the
   signaling simulator's *race abort*, here a live phenomenon rather than
   a modelled one.
 
@@ -46,9 +46,11 @@ it are skipped, and only a call with *no* reachable route is refused,
 with the dedicated ``"shard-down"`` reason.
 
 The wire front end (:class:`ClusterServer` / :class:`ClusterClient`)
-speaks length-prefixed pickle frames — batched decisions, metrics,
-drain, and the ``audit`` op that diffs every live shard's occupancy
-against the journal (leak detection for the chaos harness).
+speaks length-prefixed, size-capped JSON frames — batched decisions,
+metrics, drain, and the ``audit`` op that diffs every live shard's
+occupancy against the journal (leak detection for the chaos harness).
+Nothing read off the socket is unpickled.  The router↔shard pipes to the
+forked workers keep :mod:`multiprocessing`'s pickle framing.
 """
 
 from __future__ import annotations
@@ -274,9 +276,10 @@ class ClusterRouter:
         self.config = config if config is not None else ClusterConfig()
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         self.journal = ReservationJournal(self.config.journal_path)
-        # Compile the same dispatch structures the engine uses; NetworkState
-        # is borrowed purely for its shard_spec slicing.
-        state = NetworkState(network, policy)
+        # Compile the same dispatch structures the engine uses.  The
+        # NetworkState is the fleet's bound table: it validates swaps and
+        # slices the rows for each shard; its occupancy stays unused.
+        self._state = state = NetworkState(network, policy)
         self._routes = compile_routes(policy)
         self.partitions = partition_links(network.num_links, self.config.num_shards)
         self._link_shard = {
@@ -308,7 +311,6 @@ class ClusterRouter:
         self._down: set[int] = set()
         self._misses: dict[int, int] = {sid: 0 for sid in specs}
         self._lock = asyncio.Lock()
-        self._active: dict[int | str, asyncio.Task] = {}
         self._batches = 0
         self._path_groups: dict[tuple, tuple] = {}
         self._candidates = self._compile_candidates()
@@ -320,13 +322,6 @@ class ClusterRouter:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._started = False
         self.decisions_total = 0
-        #: Policy version across the fleet: bumped by every hot_swap and
-        #: stamped into each shard (and its respawn spec), so restarted
-        #: workers come back with the bounds in force, not the boot ones.
-        self.policy_epoch = 0
-        self.swaps: list[PolicySwap] = []
-        self._length_disciplined = policy.discipline == "length-threshold"
-        self._capacities = network.capacities().astype(int).tolist()
         registry = self.telemetry
         self._m_primary = registry.counter("serve_decisions_total", tier="primary")
         self._m_alternate = registry.counter("serve_decisions_total", tier="alternate")
@@ -378,9 +373,6 @@ class ClusterRouter:
             except asyncio.CancelledError:
                 pass
             self._wave_task = None
-        for task in list(self._active.values()):
-            task.cancel()
-        self._active.clear()
         for sid in list(self._conns):
             self._unregister_reader(sid)
             self._fail_inflight(sid, ShardDown(f"shard {sid}: router stopped"))
@@ -390,14 +382,9 @@ class ClusterRouter:
         self._started = False
 
     async def drain(self) -> None:
-        """Wait for every in-flight pipelined decision to settle."""
-        while self._active or self._batches:
-            if self._active:
-                await asyncio.gather(
-                    *list(self._active.values()), return_exceptions=True
-                )
-            else:
-                await asyncio.sleep(0.01)
+        """Wait for every in-flight pipelined batch to settle."""
+        while self._batches:
+            await asyncio.sleep(0.01)
 
     async def __aenter__(self) -> "ClusterRouter":
         await self.start()
@@ -748,7 +735,7 @@ class ClusterRouter:
     def _candidates_for(self, od, uniform: float):
         """The request's candidate chain, or ``None`` for no route.
 
-        The bifurcation pick mirrors :func:`repro.serve.engine.pick_route`
+        The bifurcation pick mirrors :meth:`RequestEngine.decide_batch`
         exactly — ordered-mode bit-equivalence depends on it.
         """
         entry = self._candidates.get(od)
@@ -890,95 +877,42 @@ class ClusterRouter:
 
     # ------------------------------------------------------------ public API
 
-    async def hot_swap(
-        self,
-        *,
-        alt_thresholds=None,
-        length_thresholds=None,
-        now: float = 0.0,
-    ) -> float:
+    @property
+    def policy_epoch(self) -> int:
+        """Policy version across the fleet, bumped by every :meth:`hot_swap`."""
+        return self._state.policy_epoch
+
+    @property
+    def swaps(self) -> list[PolicySwap]:
+        """Every installed swap, oldest first."""
+        return self._state.swaps
+
+    async def hot_swap(self, thresholds, *, now: float = 0.0) -> float:
         """Install new admission bounds on every shard, atomically per shard.
 
-        Mirrors :meth:`NetworkState.hot_swap`: exactly one of
-        ``alt_thresholds`` (scalar ``threshold`` discipline) or
-        ``length_thresholds`` (per-hop-length tables) must be given and
-        must match the policy's discipline.  The swap is serialized
-        against ordered-mode dispatch by the router lock, so no decision
-        straddles two policy versions; every shard gets one ``swap``
-        command stamped with the new epoch, and the supervisor's respawn
+        ``thresholds`` is what :meth:`NetworkState.hot_swap` takes — a
+        per-link vector or a ``{hops: per-link}`` mapping — and is validated
+        the same way.  The swap is serialized against ordered-mode dispatch
+        by the router lock, so no decision straddles two policy versions;
+        every shard gets one ``swap`` command with its slice of the new
+        table, stamped with the new epoch, and the supervisor's respawn
         specs are updated first — a worker that crashes mid-broadcast is
-        restarted with the *new* bounds, never the boot ones.  Down
-        shards only get the spec update; their restart resync brings
-        them current.  Returns the max absolute per-link threshold move.
+        restarted with the *new* bounds, never the boot ones.  Down shards
+        only get the spec update; their restart resync brings them current.
+        Returns the max absolute move over the bound table.
         """
-        if (alt_thresholds is None) == (length_thresholds is None):
-            raise ValueError(
-                "pass exactly one of alt_thresholds or length_thresholds"
-            )
-        capacities = self._capacities
-        num_links = self.network.num_links
-        if alt_thresholds is not None:
-            if self._length_disciplined:
-                raise ValueError(
-                    "cluster policy uses the length-threshold discipline; "
-                    "swap via length_thresholds"
-                )
-            flat = [int(t) for t in alt_thresholds]
-            if len(flat) != num_links:
-                raise ValueError("alt_thresholds must be per-link")
-            tables_full = None
-        else:
-            if not self._length_disciplined:
-                raise ValueError(
-                    "cluster policy uses the scalar threshold discipline; "
-                    "swap via alt_thresholds"
-                )
-            tables_full = {
-                int(h): [int(t) for t in row]
-                for h, row in length_thresholds.items()
-            }
-            for h, row in tables_full.items():
-                if len(row) != num_links:
-                    raise ValueError("length threshold rows must be per-link")
-            # Flat telemetry mirror: the laxest (shortest-hop) table.
-            flat = list(tables_full[min(tables_full)])
-        for vec in [flat] if tables_full is None else tables_full.values():
-            for link, bound in enumerate(vec):
-                if bound < 0 or bound > capacities[link]:
-                    raise ValueError("thresholds must lie in [0, capacity]")
+        state = self._state
         async with self._lock:
-            self.policy_epoch += 1
-            epoch = self.policy_epoch
-            max_delta = 0
+            max_delta = state.hot_swap(thresholds, now=now)
+            epoch = state.policy_epoch
             calls = []
             for sid, links in enumerate(self.partitions):
+                bounds = state.shard_spec(sid, links)["bounds"]
                 spec = self.supervisor.specs[sid]
-                thr_slice = {l: flat[l] for l in links}
-                tab_slice = (
-                    None if tables_full is None
-                    else {
-                        h: {l: row[l] for l in links}
-                        for h, row in tables_full.items()
-                    }
-                )
-                old_thr = spec["thresholds"]
-                for l in links:
-                    max_delta = max(max_delta, abs(thr_slice[l] - old_thr[l]))
-                old_tabs = spec.get("tables")
-                if tab_slice is not None and old_tabs:
-                    for h, row in tab_slice.items():
-                        prev = old_tabs.get(h, {})
-                        for l, bound in row.items():
-                            max_delta = max(
-                                max_delta, abs(bound - prev.get(l, bound))
-                            )
-                spec["thresholds"] = thr_slice
-                spec["tables"] = tab_slice
+                spec["bounds"] = bounds
                 spec["epoch"] = epoch
                 if sid not in self._down:
-                    calls.append(
-                        self._call(sid, [("swap", epoch, thr_slice, tab_slice)])
-                    )
+                    calls.append(self._call(sid, [("swap", epoch, bounds)]))
             if calls:
                 # A shard failing its swap is marked down by the transport
                 # layer and restarted by the monitor from the spec we just
@@ -986,33 +920,15 @@ class ClusterRouter:
                 await asyncio.gather(*calls, return_exceptions=True)
         self._m_swaps.inc()
         self._m_epoch.set(epoch)
-        self.swaps.append(
-            PolicySwap(time=now, epoch=epoch, max_delta=float(max_delta))
-        )
-        return float(max_delta)
+        return max_delta
 
     async def submit(self, request: AdmitRequest | ReleaseRequest) -> Decision:
-        """Decide one request under the configured mode's concurrency."""
+        """Decide one request: in turn (ordered) or as a one-request batch."""
+        if self.config.mode != "ordered":
+            return (await self.submit_batch([request]))[0]
         self.decisions_total += 1
-        if self.config.mode == "ordered":
-            async with self._lock:
-                return await self._dispatch(request)
-        if type(request) is ReleaseRequest:
-            prior = self._active.get(request.id)
-            if prior is not None:
-                # A release must observe its own call's admit: wait it out.
-                await asyncio.gather(prior, return_exceptions=True)
+        async with self._lock:
             return await self._dispatch(request)
-        if request.id in self._active or request.id in self.journal.held:
-            self._m_errors.inc()
-            return Decision(request.id, False, None, "none", "duplicate-call")
-        task = asyncio.ensure_future(self._dispatch(request))
-        self._active[request.id] = task
-        try:
-            return await task
-        finally:
-            if self._active.get(request.id) is task:
-                del self._active[request.id]
 
     async def submit_batch(
         self, requests: list[AdmitRequest | ReleaseRequest]
@@ -1103,8 +1019,7 @@ class ClusterRouter:
                 # after the admit wave; anything else can go first.
                 target = late_releases if request.id in admit_ids else early_releases
                 target.append((i, request))
-            elif (request.id in admit_ids or request.id in self.journal.held
-                    or request.id in self._active):
+            elif request.id in admit_ids or request.id in self.journal.held:
                 self._m_errors.inc()
                 decisions[i] = Decision(
                     request.id, False, None, "none", "duplicate-call"
@@ -1345,16 +1260,28 @@ class ClusterRouter:
 
 # --------------------------------------------------------------- wire layer
 
-#: Length prefix for pickle frames: 4-byte big-endian payload size.
+#: Length prefix for JSON frames: 4-byte big-endian payload size.
 _HEADER = struct.Struct(">I")
 
+#: Largest request frame payload :class:`ClusterServer` reads.  A header
+#: announcing more earns one error frame and a disconnect before any of
+#: the payload is read.
+MAX_FRAME_BYTES = 8 << 20
 
-def _decode_request(item: tuple) -> AdmitRequest | ReleaseRequest:
+
+def _frame(message: dict) -> bytes:
+    blob = json.dumps(message, separators=(",", ":")).encode()
+    return _HEADER.pack(len(blob)) + blob
+
+
+def _decode_request(item: list) -> AdmitRequest | ReleaseRequest:
+    if type(item[1]) not in (int, str):
+        raise TypeError("request ids must be integers or strings")
     if item[0] == "admit":
         __, rid, od, uniform, when, width = item
         return AdmitRequest(
             id=rid, od=(int(od[0]), int(od[1])), uniform=float(uniform),
-            time=when, width=int(width),
+            time=None if when is None else float(when), width=int(width),
         )
     if item[0] == "release":
         return ReleaseRequest(id=item[1], time=item[2])
@@ -1362,13 +1289,16 @@ def _decode_request(item: tuple) -> AdmitRequest | ReleaseRequest:
 
 
 class ClusterServer:
-    """Pickle-frame front end for a :class:`ClusterRouter`.
+    """JSON-frame front end for a :class:`ClusterRouter`.
 
-    The protocol is one request dict per frame (``{"op": ...}``), one
-    reply dict per frame.  ``batch`` carries requests as compact tuples
-    (see :func:`_decode_request`) and answers with per-decision
-    ``(admitted, tier, reason)`` triples — the loadgen's aggregation
-    needs nothing more, and skipping route echo keeps frames small.
+    The protocol is one request object per frame (``{"op": ...}``), one
+    reply object per frame, each behind a 4-byte big-endian length.
+    ``batch`` carries requests as compact lists (see
+    :func:`_decode_request`) and answers with per-decision
+    ``[admitted, tier, reason]`` triples — the loadgen's aggregation needs
+    nothing more, and skipping route echo keeps frames small.  A frame
+    longer than :data:`MAX_FRAME_BYTES` or one that is not a JSON object
+    gets an ``{"error": ...}`` reply and the connection is closed.
     """
 
     def __init__(self, router: ClusterRouter, host: str = "127.0.0.1", port: int = 0):
@@ -1400,15 +1330,29 @@ class ClusterServer:
                     header = await reader.readexactly(_HEADER.size)
                 except asyncio.IncompleteReadError:
                     break
-                payload = await reader.readexactly(_HEADER.unpack(header)[0])
-                message = pickle.loads(payload)
-                reply = await self._answer(message)
-                blob = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
-                writer.write(_HEADER.pack(len(blob)) + blob)
+                (size,) = _HEADER.unpack(header)
+                if size > MAX_FRAME_BYTES:
+                    writer.write(_frame({
+                        "error": f"frame of {size} bytes exceeds "
+                                 f"{MAX_FRAME_BYTES} bytes"
+                    }))
+                    await writer.drain()
+                    break
+                payload = await reader.readexactly(size)
+                try:
+                    message = json.loads(payload)
+                    if not isinstance(message, dict):
+                        raise ValueError("a frame must hold a JSON object")
+                except ValueError as exc:  # JSON and UTF-8 errors alike
+                    writer.write(_frame({"error": f"malformed frame: {exc}"}))
+                    await writer.drain()
+                    break
+                writer.write(_frame(await self._answer(message)))
                 await writer.drain()
                 if message.get("op") == "drain":
                     break
-        except (ConnectionResetError, BrokenPipeError):
+        except (ConnectionResetError, BrokenPipeError,
+                asyncio.IncompleteReadError):
             pass
         finally:
             writer.close()
@@ -1423,7 +1367,10 @@ class ClusterServer:
         if op == "batch":
             if self._draining:
                 return {"error": "draining"}
-            requests = [_decode_request(item) for item in message["requests"]]
+            try:
+                requests = [_decode_request(item) for item in message["requests"]]
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                return {"error": f"malformed batch: {exc!r}"}
             decisions = await router.submit_batch(requests)
             return {
                 "decisions": [(d.admitted, d.tier, d.reason) for d in decisions]
@@ -1450,19 +1397,22 @@ class ClusterServer:
 
 
 class ClusterClient:
-    """Blocking pickle-frame client (tests, loadgen worker processes)."""
+    """Blocking JSON-frame client (tests, loadgen worker processes)."""
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
 
     def request(self, message: dict) -> dict:
-        blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        self._sock.sendall(_HEADER.pack(len(blob)) + blob)
-        header = self._recv_exact(_HEADER.size)
-        return pickle.loads(self._recv_exact(_HEADER.unpack(header)[0]))
+        self._sock.sendall(_frame(message))
+        return self.reply()
 
-    def decide_batch(self, items: list[tuple]) -> list[tuple]:
-        """Submit request tuples; returns (admitted, tier, reason) triples."""
+    def reply(self) -> dict:
+        """Read one reply frame."""
+        header = self._recv_exact(_HEADER.size)
+        return json.loads(self._recv_exact(_HEADER.unpack(header)[0]))
+
+    def decide_batch(self, items: list) -> list[list]:
+        """Submit request lists; returns [admitted, tier, reason] triples."""
         reply = self.request({"op": "batch", "requests": items})
         if "error" in reply:
             raise RuntimeError(reply["error"])

@@ -48,7 +48,6 @@ __all__ = [
     "RequestEngine",
     "apply_alt_prefix",
     "compile_routes",
-    "pick_route",
 ]
 
 #: Batch-size histogram bounds (powers of two up to the sane maximum).
@@ -156,22 +155,6 @@ def apply_alt_prefix(
     return out
 
 
-def pick_route(entry: tuple, uniform: float) -> tuple:
-    """Resolve one dispatch entry to ``(primary, alternates)``.
-
-    Bifurcated pairs are picked by the request's uniform variate against
-    the cumulative probabilities — byte-compatible with the simulator's
-    common-random-numbers choice.
-    """
-    if entry[0] == "single":
-        return entry[1], entry[2]
-    options, cum = entry[1], entry[2]
-    pick = 0
-    while pick < len(cum) - 1 and uniform >= cum[pick]:
-        pick += 1
-    return options[pick]
-
-
 @dataclass(frozen=True)
 class BatchConfig:
     """Micro-batching knobs for the asyncio front end.
@@ -237,7 +220,7 @@ class RequestEngine:
         self.queue_depth = 0
         self.decisions_total = 0
         self._capacities = self.state.capacities.tolist()
-        self._routes = self._compile_routes(policy)
+        self._routes = compile_routes(policy)
         #: Untruncated route table; controller alternate-prefix proposals
         #: are always applied against this, never compounded.
         self._base_routes = self._routes
@@ -294,10 +277,6 @@ class RequestEngine:
         ):
             gauge.set(int(value))
 
-    #: Kept as a staticmethod alias for callers that reached through the
-    #: class; the shared implementation is module-level :func:`compile_routes`.
-    _compile_routes = staticmethod(compile_routes)
-
     # ----------------------------------------------------------- public API
 
     def decide(self, request: AdmitRequest | ReleaseRequest) -> Decision:
@@ -315,7 +294,7 @@ class RequestEngine:
         """
         start = time.perf_counter()
         state = self.state
-        occupancy, thresholds, tables = state.arrays()
+        occupancy, rows = state.arrays()
         adapt = state.adaptation is not None
         recomputes_before = state.recompute_count if adapt else 0
         setups = [0] * len(occupancy) if adapt else None
@@ -358,7 +337,7 @@ class RequestEngine:
                 state.absorb(occupancy, setups)
                 setups = [0] * len(occupancy)
                 state.maybe_refresh(now)
-                occupancy, thresholds, tables = state.arrays()
+                occupancy, rows = state.arrays()
                 next_refresh = state.next_refresh
             if next_ctrl is not None and now >= next_ctrl:
                 # Control window boundary: hand the accumulated per-pair
@@ -373,7 +352,7 @@ class RequestEngine:
                             self._base_routes, step.alt_prefix
                         )
                         routes = self._routes
-                    occupancy, thresholds, tables = state.arrays()
+                    occupancy, rows = state.arrays()
                 next_ctrl = ctrl.next_step
             mode = "normal" if control is None else control.classify(now, queue_depth)
             if mode == "shed":
@@ -425,23 +404,14 @@ class RequestEngine:
                 rejected["degraded"] += 1
                 continue
             path = None
-            if tables is None:
-                for alt in alternates:
-                    for link in alt:
-                        if occupancy[link] + width > thresholds[link]:
-                            break
-                    else:
-                        path = alt
+            for alt in alternates:
+                bounds = rows[len(alt)]
+                for link in alt:
+                    if occupancy[link] + width > bounds[link]:
                         break
-            else:
-                for alt in alternates:
-                    bounds = tables[len(alt)]
-                    for link in alt:
-                        if occupancy[link] + width > bounds[link]:
-                            break
-                    else:
-                        path = alt
-                        break
+                else:
+                    path = alt
+                    break
             if path is None:
                 append(Decision(request.id, False, None, "none", "blocked"))
                 rejected["blocked"] += 1

@@ -401,7 +401,7 @@ def partition_requests(
 def _cluster_request_tuples(
     requests: Sequence[AdmitRequest | ReleaseRequest],
 ) -> list[tuple]:
-    """The compact wire form :class:`ClusterClient` batches carry."""
+    """The compact wire form :class:`ClusterClient` batches carry (JSON lists)."""
     items: list[tuple] = []
     for request in requests:
         if isinstance(request, AdmitRequest):
@@ -477,25 +477,21 @@ def _baseline_client_main(port, requests, result_queue, barrier) -> None:
 
 
 def _cluster_client_main(port, requests, batch_size, result_queue, barrier) -> None:
-    """Child process: stream pickle batch frames, tally the reply triples.
+    """Child process: stream JSON batch frames, tally the reply triples.
 
-    Frames are pickled *before* the barrier — the baseline client
+    Frames are encoded *before* the barrier — the baseline client
     pre-encodes its JSON lines the same way, so the measured window
     charges both fleets for wire traffic, not for request encoding.
     """
-    import pickle as picklelib
     import threading
 
-    from .cluster import _HEADER, ClusterClient
+    from .cluster import ClusterClient, _frame
 
     items = _cluster_request_tuples(requests)
-    frames = []
-    for i in range(0, len(items), batch_size):
-        blob = picklelib.dumps(
-            {"op": "batch", "requests": items[i:i + batch_size]},
-            protocol=picklelib.HIGHEST_PROTOCOL,
-        )
-        frames.append(_HEADER.pack(len(blob)) + blob)
+    frames = [
+        _frame({"op": "batch", "requests": items[i:i + batch_size]})
+        for i in range(0, len(items), batch_size)
+    ]
     client = ClusterClient("127.0.0.1", port)
     barrier.wait()
     start = time.perf_counter()
@@ -508,9 +504,7 @@ def _cluster_client_main(port, requests, batch_size, result_queue, barrier) -> N
     pump.start()
     answered = admitted = 0
     for __ in frames:
-        header = client._recv_exact(_HEADER.size)
-        reply = picklelib.loads(client._recv_exact(_HEADER.unpack(header)[0]))
-        for ok, tier, ___ in reply["decisions"]:
+        for ok, tier, ___ in client.reply()["decisions"]:
             answered += 1
             if ok and tier != "release":
                 admitted += 1
@@ -578,7 +572,7 @@ def measure_cluster_throughput(
       process, JSON lines, micro-batched engine);
     * **cluster** — ``num_shards`` shard workers behind a pipelined
       :class:`~repro.serve.cluster.ClusterRouter`, clients speaking
-      batched pickle frames.
+      batched JSON frames.
 
     Returns a JSON-ready dict with both rates and the cluster/baseline
     speedup (``benchmarks/bench_cluster_throughput.py`` asserts the bar).

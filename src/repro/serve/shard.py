@@ -18,9 +18,9 @@ commands over a :class:`multiprocessing.connection.Connection`:
 * ``release``  — teardown of an established call's circuits;
 * ``sync``     — crash recovery: overwrite occupancy from the router's
   journal replay and drop all pending reservations;
-* ``swap``     — hot policy swap: replace this shard's admission bounds
-  (scalar thresholds and/or per-length tables) and stamp the new policy
-  epoch, leaving occupancy and reservations untouched;
+* ``swap``     — hot policy swap: replace this shard's admission-bound
+  rows and stamp the new policy epoch, leaving occupancy and reservations
+  untouched;
 * ``snapshot`` / ``ping`` — observability and liveness.
 
 The worker is deliberately single-threaded and blocking: commands within
@@ -68,12 +68,9 @@ class ShardWorker:
         self.shard_id = int(spec["shard_id"])
         self.links = tuple(spec["links"])
         self.capacities = dict(spec["capacities"])
-        self.thresholds = dict(spec["thresholds"])
+        #: Admission-bound rows by alternate hop count, each ``{link: bound}``.
+        self.bounds = [dict(row) for row in spec["bounds"]]
         self.policy_epoch = int(spec.get("epoch", 0))
-        tables = spec.get("tables")
-        self.tables = None if tables is None else {
-            int(h): dict(row) for h, row in tables.items()
-        }
         hold = spec.get("hold_timer")
         self.hold_timer = None if hold is None else float(hold)
         self.clock = clock
@@ -105,9 +102,7 @@ class ShardWorker:
     def _bound(self, link: int, kind: int) -> int:
         if kind == PRIMARY_KIND:
             return self.capacities[link]
-        if self.tables is not None:
-            return self.tables[kind][link]
-        return self.thresholds[link]
+        return self.bounds[kind][link]
 
     def _remember(self, rid: str, result: int) -> int:
         self.recent[rid] = result
@@ -210,12 +205,10 @@ class ShardWorker:
             # already booked keep their circuits — only future admission
             # tests see the new bounds — and the epoch stamp makes every
             # later snapshot attributable to the version in force.
-            __, epoch, thresholds, tables = command
-            self.thresholds = {int(l): int(t) for l, t in thresholds.items()}
-            self.tables = None if tables is None else {
-                int(h): {int(l): int(t) for l, t in row.items()}
-                for h, row in tables.items()
-            }
+            __, epoch, bounds = command
+            self.bounds = [
+                {int(l): int(t) for l, t in row.items()} for row in bounds
+            ]
             self.policy_epoch = int(epoch)
             self.tallies["shard_swaps"] += 1
             return 1

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.protection import min_protection_levels
-from ..routing.base import RoutingPolicy
+from ..routing.base import RoutingPolicy, bound_table, policy_bounds
 from ..topology.graph import Network
 
 __all__ = [
@@ -100,17 +100,18 @@ class PolicySwap:
 
 
 class NetworkState:
-    """Occupancies + thresholds for one network under one compiled policy.
+    """Occupancies + admission bounds for one network under one policy.
 
     ``occupancy`` is the authoritative per-link circuit count
     (``np.int64``); :meth:`admit` and :meth:`release` book and free one
-    path in O(path length).  ``alt_thresholds`` is the mutable per-link
-    alternate-admission bound (``C - r``); for the ``length-threshold``
-    discipline :attr:`length_thresholds` carries one bound array per
-    alternate hop count instead.
+    path in O(path length).  ``bounds`` is the read-only admission-bound
+    table (see :func:`repro.routing.base.bound_table`): row ``h`` bounds
+    alternates of ``h`` hops, and under the ``threshold`` discipline every
+    row is the same ``C - r`` vector.  :meth:`hot_swap` and adaptation
+    replace the whole table, never edit it in place.
 
     The request engine's batch loop works on list snapshots of these
-    arrays and writes them back per batch (:meth:`arrays` /
+    arrays and writes occupancy back per batch (:meth:`arrays` /
     :meth:`absorb`), so the NumPy views are always consistent *between*
     batches — which is when telemetry and adaptation read them.
     """
@@ -132,26 +133,18 @@ class NetworkState:
         self.policy = policy
         self.capacities = network.capacities().astype(np.int64)
         self.occupancy = np.zeros(network.num_links, dtype=np.int64)
-        if policy.discipline == "threshold":
-            if policy.alt_thresholds is None:
-                raise ValueError(f"policy {policy.name!r} lacks alternate thresholds")
-            self.alt_thresholds = np.asarray(
-                policy.alt_thresholds, dtype=np.int64
-            ).copy()
-            self.length_thresholds: dict[int, np.ndarray] | None = None
-        else:
-            tables = getattr(policy, "length_thresholds", None)
-            if tables is None:
-                raise ValueError(f"policy {policy.name!r} lacks length thresholds")
-            self.length_thresholds = {
-                int(length): np.asarray(row, dtype=np.int64).copy()
-                for length, row in tables.items()
-            }
-            # The engine still exposes a flat bound for telemetry; use the
-            # laxest table (longest paths face the tightest thresholds).
-            self.alt_thresholds = self.length_thresholds[
-                min(self.length_thresholds)
-            ].copy()
+        hops = [
+            len(alt)
+            for options in policy.choices.values()
+            for choice in options
+            for alt in choice.alternates
+        ]
+        self.bounds = policy_bounds(policy, max(hops, default=1))
+        #: Row of :attr:`alt_thresholds`: the shortest alternate's, i.e. the
+        #: laxest bound in force.
+        self._view_row = min(hops, default=1)
+        self._rows: list[list[int]] = []
+        self._rows_of: np.ndarray | None = None
         self.adaptation = adaptation
         self.refreshes: list[ThresholdRefresh] = []
         #: Monotone policy version: 0 at construction, bumped by every
@@ -187,6 +180,11 @@ class NetworkState:
         else:
             self.next_refresh = None
 
+    @property
+    def alt_thresholds(self) -> np.ndarray:
+        """Read-only per-link bound of the shortest alternates (telemetry)."""
+        return self.bounds[self._view_row]
+
     # ------------------------------------------------------------- admission
 
     def admit(self, path: tuple[int, ...], width: int = 1) -> None:
@@ -210,9 +208,9 @@ class NetworkState:
         """Self-contained state slice for one cluster shard worker.
 
         Everything a worker process needs to admit against its links —
-        capacities, alternate thresholds, per-length threshold tables —
-        as plain picklable lists keyed by *global* link id, so the worker
-        never imports the policy or the network.
+        capacities and the bound table's rows — as plain picklable data
+        keyed by *global* link id, so the worker never imports the policy
+        or the network.
         """
         links = tuple(int(link) for link in links)
         return {
@@ -220,87 +218,25 @@ class NetworkState:
             "epoch": int(self.policy_epoch),
             "links": links,
             "capacities": {l: int(self.capacities[l]) for l in links},
-            "thresholds": {l: int(self.alt_thresholds[l]) for l in links},
-            "tables": (
-                None if self.length_thresholds is None
-                else {
-                    int(h): {l: int(row[l]) for l in links}
-                    for h, row in self.length_thresholds.items()
-                }
-            ),
+            "bounds": [{l: int(row[l]) for l in links} for row in self.bounds],
         }
 
     # -------------------------------------------------------------- hot swap
 
-    def hot_swap(
-        self,
-        *,
-        alt_thresholds: np.ndarray | Sequence[int] | None = None,
-        length_thresholds: dict[int, np.ndarray] | None = None,
-        now: float = 0.0,
-    ) -> float:
-        """Atomically install new alternate-admission thresholds.
+    def hot_swap(self, thresholds, *, now: float = 0.0) -> float:
+        """Atomically install new alternate-admission bounds.
 
-        Exactly one of ``alt_thresholds`` (scalar ``threshold``
-        discipline) or ``length_thresholds`` (per-hop-length tables,
-        ``length-threshold`` discipline) must be given and must match the
-        discipline this state was built with.  The swap bumps
+        ``thresholds`` is a per-link vector (every hop count takes it) or a
+        ``{hops: per-link}`` mapping (only the named hop counts change), as
+        :func:`repro.routing.base.bound_table` applies it.  The swap bumps
         :attr:`policy_epoch`, records a :class:`PolicySwap`, and returns
-        the max absolute per-link threshold move — in-flight occupancy is
+        the max absolute move over the table — in-flight occupancy is
         untouched, so decisions made after the swap see the new bounds
         against the same live circuits.
         """
-        if (alt_thresholds is None) == (length_thresholds is None):
-            raise ValueError(
-                "pass exactly one of alt_thresholds or length_thresholds"
-            )
-        if alt_thresholds is not None:
-            if self.length_thresholds is not None:
-                raise ValueError(
-                    "state uses the length-threshold discipline; swap via "
-                    "length_thresholds"
-                )
-            incoming = np.asarray(alt_thresholds, dtype=np.int64)
-            if incoming.shape != self.alt_thresholds.shape:
-                raise ValueError("alt_thresholds must be per-link")
-            if (incoming < 0).any() or (incoming > self.capacities).any():
-                raise ValueError("thresholds must lie in [0, capacity]")
-            max_delta = float(
-                np.abs(incoming - self.alt_thresholds).max(initial=0)
-            )
-            self.alt_thresholds[:] = incoming
-        else:
-            if self.length_thresholds is None:
-                raise ValueError(
-                    "state uses the scalar threshold discipline; swap via "
-                    "alt_thresholds"
-                )
-            unknown = set(length_thresholds) - set(self.length_thresholds)
-            if unknown:
-                raise ValueError(
-                    f"unknown hop lengths in swap: {sorted(unknown)}"
-                )
-            max_delta = 0.0
-            staged = {}
-            for h, row in length_thresholds.items():
-                incoming = np.asarray(row, dtype=np.int64)
-                if incoming.shape != self.length_thresholds[h].shape:
-                    raise ValueError("length threshold rows must be per-link")
-                if (incoming < 0).any() or (incoming > self.capacities).any():
-                    raise ValueError("thresholds must lie in [0, capacity]")
-                staged[h] = incoming
-                max_delta = max(
-                    max_delta,
-                    float(
-                        np.abs(incoming - self.length_thresholds[h]).max(initial=0)
-                    ),
-                )
-            for h, incoming in staged.items():
-                self.length_thresholds[h][:] = incoming
-            # Keep the flat telemetry mirror on the laxest table.
-            self.alt_thresholds[:] = self.length_thresholds[
-                min(self.length_thresholds)
-            ]
+        incoming = bound_table(thresholds, self.capacities, self.bounds)
+        max_delta = float(np.abs(incoming - self.bounds).max(initial=0))
+        self.bounds = incoming
         self.policy_epoch += 1
         self.last_refresh_delta = max_delta
         self.swaps.append(
@@ -310,13 +246,16 @@ class NetworkState:
 
     # ---------------------------------------------------- batch-loop bridge
 
-    def arrays(self) -> tuple[list[int], list[int], dict[int, list[int]] | None]:
-        """List snapshots of (occupancy, thresholds, length tables)."""
-        tables = (
-            None if self.length_thresholds is None
-            else {h: row.tolist() for h, row in self.length_thresholds.items()}
-        )
-        return self.occupancy.tolist(), self.alt_thresholds.tolist(), tables
+    def arrays(self) -> tuple[list[int], list[list[int]]]:
+        """List snapshots of (occupancy, bound rows).
+
+        The rows are rebuilt only when the table was replaced; callers
+        must treat them as read-only.
+        """
+        if self._rows_of is not self.bounds:
+            self._rows = [row.tolist() for row in self.bounds]
+            self._rows_of = self.bounds
+        return self.occupancy.tolist(), self._rows
 
     def absorb(self, occupancy: list[int], setups: list[int] | None = None) -> None:
         """Write one batch's occupancy (and set-up counts) back."""
@@ -331,11 +270,11 @@ class NetworkState:
         levels = min_protection_levels(
             self._estimates, capacities, self.adaptation.max_hops
         )
-        previous = self.alt_thresholds.copy()
-        self.alt_thresholds[:] = capacities - levels
+        incoming = bound_table(capacities - levels, capacities, self.bounds)
         self.last_refresh_delta = float(
-            np.abs(self.alt_thresholds - previous).max(initial=0)
+            np.abs(incoming - self.bounds).max(initial=0)
         )
+        self.bounds = incoming
         self.refreshes.append(
             ThresholdRefresh(
                 time=now,

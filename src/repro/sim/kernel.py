@@ -31,11 +31,14 @@ import sys
 import tempfile
 import warnings
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
+
+from ..routing.base import bound_table, policy_bounds
 
 __all__ = [
     "KERNEL_DISCIPLINES",
@@ -257,49 +260,30 @@ def threshold_rows(policy, table: RouteTable, capacities: np.ndarray,
     """Alternate-admission thresholds as ``(rows, row_stride, switch_times)``.
 
     ``rows`` has shape ``(segments, rows_per_segment, links)``: segment 0 is
-    the policy's own thresholds, segment ``k`` the ``k``-th schedule entry.
-    Per-hop-length thresholds (the ``length-threshold`` discipline, or any
-    schedule entry given as a ``{hops: per-link}`` mapping) give one row per
-    hop count, ``row_stride = links``; hop counts a mapping omits keep the
-    previous segment's row (plain capacity in segment 0).  Flat per-link
-    thresholds give a single row, ``row_stride=0``.
+    the policy's own bound table, segment ``k`` the previous one updated by
+    the ``k``-th schedule entry through :func:`~repro.routing.base.bound_table`
+    (the function ``NetworkState.hot_swap`` applies).  Per-hop-length bounds
+    (the ``length-threshold`` discipline, or any schedule entry given as a
+    ``{hops: per-link}`` mapping) keep one row per hop count, ``row_stride =
+    links``; flat per-link thresholds keep a single row, ``row_stride=0``.
     """
-    num_links = table.num_links
-    if policy.discipline == "length-threshold":
-        base = getattr(policy, "length_thresholds", None)
-        if base is None:
-            raise ValueError(f"policy {policy.name!r} lacks length thresholds")
-    else:
-        base = policy.alt_thresholds
-        if base is None:
-            raise ValueError(f"policy {policy.name!r} lacks alternate thresholds")
-    specs = [base] + [spec for __, spec in schedule or ()]
-    by_length = any(isinstance(spec, dict) for spec in specs)
-    per_segment = table.max_path_len + 1 if by_length else 1
-
-    def vector(values) -> np.ndarray:
-        flat = np.asarray(values, dtype=np.int64)
-        if flat.shape != (num_links,):
-            raise ValueError(
-                f"threshold vectors must have shape ({num_links},), got {flat.shape}"
-            )
-        return flat
-
-    rows = np.empty((len(specs), per_segment, num_links), dtype=np.int64)
-    for segment, spec in enumerate(specs):
-        if isinstance(spec, dict):
-            # Like NetworkState.hot_swap: a mapping replaces the hop counts
-            # it names and keeps the rest (capacity before the first).
-            rows[segment] = rows[segment - 1] if segment else vector(capacities)
-            for hops, row in spec.items():
-                if 0 <= int(hops) < per_segment:
-                    rows[segment, int(hops)] = vector(row)
-        else:
-            rows[segment] = vector(spec)
+    specs = [spec for __, spec in schedule or ()]
+    by_length = policy.discipline == "length-threshold" or any(
+        isinstance(spec, Mapping) for spec in specs
+    )
+    hops = 0
+    if by_length:
+        hops = max([table.max_path_len, *(
+            int(h) for spec in specs if isinstance(spec, Mapping) for h in spec
+        )])
+    segments = [policy_bounds(policy, hops)]
+    for spec in specs:
+        segments.append(bound_table(spec, capacities, segments[-1]))
+    rows = np.stack(segments)
     if rows.size and (rows.min() < -_INT32_MAX or rows.max() > _INT32_MAX):
         raise ValueError("thresholds exceed the int32 range")
     switch_times = np.array([float(t) for t, __ in schedule or ()], dtype=np.float64)
-    return rows.astype(np.int32), num_links if by_length else 0, switch_times
+    return rows.astype(np.int32), table.num_links if by_length else 0, switch_times
 
 
 # ------------------------------------------------------------------- call

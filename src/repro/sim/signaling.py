@@ -59,7 +59,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .._compat import positional_shim
 from ..routing.base import RouteChoice, RoutingPolicy
 from ..topology.graph import Network
 from .engine import EventQueue
@@ -72,14 +71,13 @@ from .trace import ArrivalTrace
 __all__ = ["SignalingConfig", "SignalingStats", "SignalingSimulator", "simulate_signaling"]
 
 
-@positional_shim
 @dataclass(frozen=True, kw_only=True)
 class SignalingConfig:
     """Timing and reliability model for the signaling plane.
 
-    Keyword-only: construct as ``SignalingConfig(propagation_delay=...)``.
-    Positional construction still works but is deprecated (the field list
-    grows; positional call sites would silently change meaning).
+    Keyword-only: construct as ``SignalingConfig(propagation_delay=...)``
+    (the field list grows; positional call sites would silently change
+    meaning).
 
     ``propagation_delay`` is the one-way per-hop delay for any signaling
     message, in call-holding-time units (the paper's unit of time).  A

@@ -60,10 +60,24 @@ from .kernel import KERNEL_DISCIPLINES, admit, load_kernel, route_table, thresho
 from .metrics import BinnedSeries, SimulationResult
 from .trace import ArrivalTrace
 
-__all__ = ["LossNetworkSimulator", "simulate"]
+__all__ = ["BACKENDS", "LossNetworkSimulator", "check_backend", "simulate"]
 
 _REVENUE_EPS = 1e-12
 _INFINITY = float("inf")
+
+#: Values of every ``backend=`` keyword: ``"auto"`` runs the compiled
+#: admission kernel wherever it applies (the general loop otherwise),
+#: ``"reference"`` forces the general event-loop oracle.
+BACKENDS = ("auto", "reference")
+
+
+def check_backend(backend: str) -> str:
+    """Return ``backend``; :class:`ValueError` unless it is in :data:`BACKENDS`."""
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
+        )
+    return backend
 
 
 class LossNetworkSimulator:
@@ -147,18 +161,19 @@ class LossNetworkSimulator:
     def run(self, backend: str = "auto") -> SimulationResult:
         """Run the simulation under the requested ``backend``.
 
-        ``"auto"`` (the default) and ``"fast"`` run the compiled admission
-        kernel (:mod:`repro.sim.kernel`) whenever the configuration is in
-        its scope: the ``threshold`` or ``length-threshold`` discipline, unit
-        bandwidth, a single class, no fault plane, no timeline bins and no
-        link statistics.  Everything else, and every run when the kernel
+        ``backend`` is one of :data:`BACKENDS` (anything else raises
+        :class:`ValueError`).  ``"auto"`` (the default) runs the compiled
+        admission kernel (:mod:`repro.sim.kernel`) whenever the
+        configuration is in its scope: the ``threshold`` or
+        ``length-threshold`` discipline, unit bandwidth, a single class, no
+        fault plane, no timeline bins and no link statistics.  Everything else, and every run when the kernel
         cannot be built (one :class:`RuntimeWarning` says so), takes the
         general event loop; ``"reference"`` forces that loop.  Both engines
         make the identical admission decisions in the identical order, so
         the statistics are bit-identical; ``SimulationResult.backend``
         records which one ran (``"compiled"`` or ``"reference"``).
         """
-        if backend != "reference" and self._kernel_eligible():
+        if check_backend(backend) != "reference" and self._kernel_eligible():
             kernel = load_kernel()
             if kernel is not None:
                 return self._run_compiled(kernel)
@@ -803,21 +818,15 @@ def simulate(
     reconvergence_delay: float = 0.0,
     rebuild_policy: Callable[[Network], RoutingPolicy] | None = None,
     timeline_bin: float | None = None,
-    reference: bool | None = None,
-    backend: str | None = None,
+    backend: str = "auto",
 ) -> SimulationResult:
     """Convenience wrapper: build and run a :class:`LossNetworkSimulator`.
 
     Every constructor knob is plumbed through, so link statistics, warm
     starts and the dynamic fault plane are all reachable without touching
-    the class directly.  ``backend`` selects the engine (``"auto"`` /
-    ``"fast"`` / ``"reference"``, see :meth:`LossNetworkSimulator.run`);
-    the legacy ``reference=True`` flag still maps to ``backend="reference"``
-    through the :func:`repro._compat.resolve_backend` deprecation shim.
+    the class directly.  ``backend`` selects the engine (``"auto"`` or
+    ``"reference"``, see :meth:`LossNetworkSimulator.run`).
     """
-    from .._compat import resolve_backend
-
-    resolved = resolve_backend(backend, reference, owner="simulate")
     return LossNetworkSimulator(
         network,
         policy,
@@ -829,4 +838,4 @@ def simulate(
         reconvergence_delay=reconvergence_delay,
         rebuild_policy=rebuild_policy,
         timeline_bin=timeline_bin,
-    ).run(backend=resolved)
+    ).run(backend=backend)

@@ -92,7 +92,7 @@ class TestBitIdentity:
         trace = generate_trace(traffic, 30.0, 5)
         (via_batch,) = simulate_batch(network, policy, [trace], warmup=10.0)
         via_fast = simulate(network, policy, trace, warmup=10.0,
-                            backend="fast")
+                            backend="auto")
         _assert_bit_identical(via_batch, via_fast)
         assert via_batch.backend == via_fast.backend == "compiled"
 
@@ -211,7 +211,7 @@ class TestBatchResult:
 
     def test_batch_and_fast_studies_bit_identical(self):
         default = run_study(self._scenario(), config=self.QUICK)
-        for backend in ("fast", "reference"):
+        for backend in ("auto", "reference"):
             other = run_study(self._scenario(), config=self.QUICK,
                               backend=backend)
             for res_a, res_b in zip(default.outcome.results,

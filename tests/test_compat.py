@@ -1,173 +1,70 @@
-"""Tests for the deprecation shims in ``repro._compat``.
+"""Tests for the keyword-only config contract and backend validation.
 
-Two shims live there: :func:`positional_shim` keeps the kw-only config
-dataclasses accepting positional construction (the pre-keyword-only calling
-convention), and :func:`resolve_backend` keeps the legacy ``reference=``
-boolean working on the simulation entry points after the ``backend=``
-redesign.  These tests pin down both contracts directly instead of relying
-on the incidental coverage the callers provide.
+The public config dataclasses (:class:`ReplicationConfig`,
+:class:`SignalingConfig`) are keyword-only, and every entry point's
+``backend=`` keyword accepts exactly :data:`repro.sim.simulator.BACKENDS`.
 """
 
 from __future__ import annotations
 
+import inspect
 import warnings
 
 import pytest
 
-from repro._compat import resolve_backend
 from repro.experiments.runner import ReplicationConfig
 from repro.sim.signaling import SignalingConfig
+from repro.sim.simulator import BACKENDS, check_backend, simulate
 
 
 class TestReplicationConfigShim:
-    def test_positional_maps_in_declaration_order(self):
-        with pytest.warns(DeprecationWarning, match="ReplicationConfig"):
-            config = ReplicationConfig(25.0, 5.0, (0, 1))
-        assert config.measured_duration == 25.0
-        assert config.warmup == 5.0
-        assert config.seeds == (0, 1)
-
-    def test_positional_equals_keyword(self):
-        with pytest.warns(DeprecationWarning):
-            positional = ReplicationConfig(25.0, 5.0, (0, 1))
-        keyword = ReplicationConfig(measured_duration=25.0, warmup=5.0, seeds=(0, 1))
-        assert positional == keyword
-
-    def test_mixed_positional_and_keyword(self):
-        with pytest.warns(DeprecationWarning):
-            config = ReplicationConfig(25.0, warmup=7.0)
-        assert config.measured_duration == 25.0
-        assert config.warmup == 7.0
-        assert config.seeds == tuple(range(10))
-
     def test_keyword_only_emits_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ReplicationConfig(measured_duration=25.0)
 
     def test_too_many_positional_raises(self):
-        with pytest.raises(TypeError, match="at most 3"):
+        with pytest.raises(TypeError, match="positional argument"):
             ReplicationConfig(25.0, 5.0, (0,), "extra")
 
     def test_duplicate_positional_and_keyword_raises(self):
-        with pytest.raises(TypeError, match="multiple values"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                ReplicationConfig(25.0, measured_duration=30.0)
-
-    def test_derived_properties_survive_shim(self):
-        with pytest.warns(DeprecationWarning):
-            config = ReplicationConfig(25.0, 5.0)
-        assert config.duration == 30.0
-        assert config.scaled(duration_factor=2.0).measured_duration == 50.0
+        with pytest.raises(TypeError, match="positional argument"):
+            ReplicationConfig(25.0, measured_duration=30.0)
 
 
 class TestSignalingConfigShim:
-    def test_positional_maps_in_declaration_order(self):
-        with pytest.warns(DeprecationWarning, match="SignalingConfig"):
-            config = SignalingConfig(1e-4, 0.0, 0.5)
-        assert config.propagation_delay == 1e-4
-        assert config.message_loss_probability == 0.0
-        assert config.setup_timeout == 0.5
-
     def test_keyword_only_emits_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             SignalingConfig(propagation_delay=1e-4)
-
-    def test_validation_still_runs_after_shim(self):
-        # Positive loss without a setup timeout is rejected by the real
-        # __post_init__ — the shim must not bypass it.
-        with pytest.raises(ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                SignalingConfig(0.0, 0.5)
 
 
 class TestResolveBackend:
     def test_plain_backend_passes_through(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for name in ("auto", "fast", "reference"):
-                assert resolve_backend(name, None) == name
+            for name in BACKENDS:
+                assert check_backend(name) == name
+        assert BACKENDS == ("auto", "reference")
 
     def test_defaults_to_auto(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_backend(None, None) == "auto"
-
-    def test_reference_true_maps_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="backend"):
-            assert resolve_backend(None, True) == "reference"
-
-    def test_reference_false_maps_with_warning(self):
-        with pytest.warns(DeprecationWarning):
-            assert resolve_backend(None, False) == "auto"
-
-    def test_conflicting_flags_raise(self):
-        with pytest.raises(ValueError, match="conflicting"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                resolve_backend("fast", True)
-
-    def test_agreeing_flags_allowed(self):
-        with pytest.warns(DeprecationWarning):
-            assert resolve_backend("reference", True) == "reference"
+        assert inspect.signature(simulate).parameters["backend"].default == "auto"
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("gpu", None)
+        for name in ("gpu", "fast", "batch", None):
+            with pytest.raises(ValueError, match="unknown backend"):
+                check_backend(name)
 
 
 class TestBackendShim:
-    """The public entry points honour the legacy ``reference=`` flag."""
+    """Every public entry point refuses an unknown backend name."""
 
     def _scenario(self):
         from repro.api import Scenario
 
         return Scenario(topology="quadrangle", traffic=2.0, policy="controlled")
 
-    def test_run_scenario_reference_flag_warns_and_matches(self):
-        from repro.api import run_scenario
-
-        scenario = self._scenario()
-        with pytest.warns(DeprecationWarning, match="run_scenario"):
-            legacy = run_scenario(scenario, seed=3, duration=8.0, warmup=1.0,
-                                  reference=True)
-        modern = run_scenario(scenario, seed=3, duration=8.0, warmup=1.0,
-                              backend="reference")
-        assert legacy.network_blocking == modern.network_blocking
-        assert (legacy.blocked == modern.blocked).all()
-
-    def test_simulate_reference_flag_warns(self):
-        from repro.sim.simulator import simulate
-        from repro.sim.trace import generate_trace
-
-        scenario = self._scenario()
-        trace = generate_trace(scenario.traffic_matrix, 8.0, 1)
-        policy = scenario.build_policy("controlled")
-        with pytest.warns(DeprecationWarning, match="simulate"):
-            legacy = simulate(scenario.network, policy, trace, warmup=1.0,
-                              reference=True)
-        modern = simulate(scenario.network, policy, trace, warmup=1.0,
-                          backend="reference")
-        assert legacy.network_blocking == modern.network_blocking
-
-    def test_simulate_conflict_raises(self):
-        from repro.sim.simulator import simulate
-        from repro.sim.trace import generate_trace
-
-        scenario = self._scenario()
-        trace = generate_trace(scenario.traffic_matrix, 4.0, 0)
-        policy = scenario.build_policy("controlled")
-        with pytest.raises(ValueError, match="conflicting"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                simulate(scenario.network, policy, trace, warmup=1.0,
-                         backend="fast", reference=True)
-
     def test_simulate_unknown_backend_raises(self):
-        from repro.sim.simulator import simulate
         from repro.sim.trace import generate_trace
 
         scenario = self._scenario()
@@ -176,3 +73,25 @@ class TestBackendShim:
         with pytest.raises(ValueError, match="unknown backend"):
             simulate(scenario.network, policy, trace, warmup=1.0,
                      backend="warp")
+
+    def test_study_entry_points_refuse_unknown_backends(self, tmp_path):
+        from repro.api import run_scenario, run_study
+        from repro.experiments.runner import run_replications_detailed
+        from repro.lab.config import LabConfig
+        from repro.lab.scheduler import run_lab_study
+
+        scenario = self._scenario()
+        config = ReplicationConfig(measured_duration=2.0, warmup=1.0, seeds=(0,))
+        calls = (
+            lambda: run_scenario(scenario, duration=3.0, warmup=1.0,
+                                 backend="fast"),
+            lambda: run_study(scenario, config=config, backend="fast"),
+            lambda: run_replications_detailed(
+                scenario.network, scenario.build_policy(),
+                scenario.traffic_matrix, config, backend="fast"),
+            lambda: run_lab_study(scenario, config=config, backend="fast",
+                                  lab=LabConfig(store=tmp_path)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="unknown backend"):
+                call()

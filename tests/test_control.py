@@ -295,9 +295,11 @@ class TestHotSwapState:
         state = self._state(quad_network, quad_table)
         before = state.alt_thresholds.copy()
         incoming = np.clip(before - 3, 0, None)
-        delta = state.hot_swap(alt_thresholds=incoming, now=7.0)
+        delta = state.hot_swap(incoming, now=7.0)
         assert delta == float(np.abs(incoming - before).max())
         assert np.array_equal(state.alt_thresholds, incoming)
+        # A per-link vector bounds every hop count.
+        assert all(np.array_equal(row, incoming) for row in state.bounds)
         assert state.policy_epoch == 1
         (swap,) = state.swaps
         assert (swap.time, swap.epoch, swap.max_delta) == (7.0, 1, delta)
@@ -305,17 +307,32 @@ class TestHotSwapState:
     def test_swap_validation(self, quad_network, quad_table):
         state = self._state(quad_network, quad_table)
         ok = state.alt_thresholds.copy()
-        with pytest.raises(ValueError, match="exactly one"):
-            state.hot_swap()
-        with pytest.raises(ValueError, match="exactly one"):
-            state.hot_swap(alt_thresholds=ok, length_thresholds={2: ok})
-        with pytest.raises(ValueError, match="scalar threshold"):
-            state.hot_swap(length_thresholds={2: ok})
+        with pytest.raises(ValueError, match="no bound row"):
+            state.hot_swap({len(state.bounds): ok})
+        with pytest.raises(ValueError, match="no bound row"):
+            state.hot_swap({-1: ok})
         with pytest.raises(ValueError, match="per-link"):
-            state.hot_swap(alt_thresholds=ok[:-1])
+            state.hot_swap(ok[:-1])
+        with pytest.raises(ValueError, match="per-link"):
+            state.hot_swap({2: ok[:-1]})
         with pytest.raises(ValueError, match="capacity"):
-            state.hot_swap(alt_thresholds=ok + state.capacities)
+            state.hot_swap(ok + state.capacities)
+        with pytest.raises(ValueError, match="capacity"):
+            state.hot_swap({2: -ok - 1})
         assert state.policy_epoch == 0  # nothing above landed
+        with pytest.raises(ValueError, match="read-only"):
+            state.alt_thresholds[0] = 0
+
+    def test_mapping_swap_changes_only_the_named_rows(
+        self, quad_network, quad_table
+    ):
+        state = self._state(quad_network, quad_table)
+        before = state.bounds.copy()
+        row = np.zeros(quad_network.num_links, dtype=np.int64)
+        state.hot_swap({2: row}, now=1.0)
+        assert np.array_equal(state.bounds[2], row)
+        others = [h for h in range(len(before)) if h != 2]
+        assert np.array_equal(state.bounds[others], before[others])
 
 
 class TestBatchScheduleEquivalence:
@@ -336,10 +353,7 @@ class TestBatchScheduleEquivalence:
         for k, chunk in enumerate(chunks):
             if k > 0:
                 when, spec = schedule[k - 1]
-                if isinstance(spec, dict):
-                    state.hot_swap(length_thresholds=spec, now=when)
-                else:
-                    state.hot_swap(alt_thresholds=spec, now=when)
+                state.hot_swap(spec, now=when)
             decisions.extend(engine.decide_batch(chunk))
         return aggregate_decisions(trace, decisions, warmup=5.0), state
 
@@ -377,7 +391,8 @@ class TestBatchScheduleEquivalence:
             quad_network, quad_table, loads
         )
         trace = generate_trace(traffic, duration=20.0, seed=9)
-        tables = NetworkState(quad_network, policy).length_thresholds
+        tables = {h: np.asarray(row, dtype=np.int64)
+                  for h, row in policy.length_thresholds.items()}
         schedule = [
             (7.0, {h: np.clip(row - 2, 0, None) for h, row in tables.items()}),
             (13.0, {h: row.copy() for h, row in tables.items()}),
@@ -439,22 +454,58 @@ class TestBatchScheduleEquivalence:
                            threshold_schedule=[(5.0, thr)])
 
 
+def _swap_case(kind, network, table):
+    """A policy and a two-entry swap schedule for the cluster oracle.
+
+    ``scalar`` swaps per-link vectors into a ``threshold`` policy,
+    ``per-length`` swaps ``{hops: row}`` mappings into a
+    ``length-threshold`` one, and ``vector-into-length`` swaps per-link
+    vectors into a ``length-threshold`` policy (every hop count takes them).
+    """
+    traffic = uniform_traffic(network.num_nodes, 95.0)
+    loads = primary_link_loads(network, table, traffic)
+    caps = network.capacities().astype(np.int64)
+    if kind == "scalar":
+        policy = ControlledAlternateRouting(network, table, loads)
+        base = NetworkState(network, policy).alt_thresholds
+        return policy, [
+            (4.0, np.clip(base - 2, 0, None)),
+            (8.0, np.minimum(base + 1, caps)),
+        ]
+    policy = LengthAdaptiveControlledRouting(network, table, loads)
+    rows = {h: np.asarray(row, dtype=np.int64)
+            for h, row in policy.length_thresholds.items()}
+    if kind == "per-length":
+        return policy, [
+            (4.0, {h: np.clip(row - 2, 0, None) for h, row in rows.items()}),
+            (8.0, {h: np.minimum(row + 1, caps) for h, row in rows.items()}),
+        ]
+    base = rows[min(rows)]
+    return policy, [
+        (4.0, np.clip(base - 3, 0, None)),
+        (8.0, np.minimum(base + 1, caps)),
+    ]
+
+
 class TestClusterSwapEquivalence:
     """Hot-swap proven safe: cluster replay == engine, same swap schedule."""
 
     def test_ordered_cluster_matches_engine_across_swaps(
         self, quad_network, quad_table
     ):
+        self._check_cluster_matches_engine("scalar", quad_network, quad_table)
+
+    @pytest.mark.parametrize("kind", ["per-length", "vector-into-length"])
+    def test_ordered_cluster_matches_engine_across_length_swaps(
+        self, quad_network, quad_table, kind
+    ):
+        self._check_cluster_matches_engine(kind, quad_network, quad_table)
+
+    @staticmethod
+    def _check_cluster_matches_engine(kind, quad_network, quad_table):
+        policy, schedule = _swap_case(kind, quad_network, quad_table)
         traffic = uniform_traffic(quad_network.num_nodes, 95.0)
-        loads = primary_link_loads(quad_network, quad_table, traffic)
-        policy = ControlledAlternateRouting(quad_network, quad_table, loads)
         trace = generate_trace(traffic, duration=12.0, seed=21)
-        base = NetworkState(quad_network, policy).alt_thresholds
-        caps = quad_network.capacities().astype(np.int64)
-        schedule = [
-            (4.0, np.clip(base - 2, 0, None)),
-            (8.0, np.minimum(base + 1, caps)),
-        ]
         times = [t for t, __ in schedule]
         chunks = [[] for __ in range(len(schedule) + 1)]
         for request in trace_requests(trace):
@@ -467,8 +518,7 @@ class TestClusterSwapEquivalence:
         expected = []
         for k, chunk in enumerate(chunks):
             if k > 0:
-                state.hot_swap(alt_thresholds=schedule[k - 1][1],
-                               now=times[k - 1])
+                state.hot_swap(schedule[k - 1][1], now=times[k - 1])
             expected.extend(engine.decide_batch(chunk))
 
         async def run():
@@ -481,8 +531,7 @@ class TestClusterSwapEquivalence:
                 for k, chunk in enumerate(chunks):
                     if k > 0:
                         await router.hot_swap(
-                            alt_thresholds=schedule[k - 1][1],
-                            now=times[k - 1],
+                            schedule[k - 1][1], now=times[k - 1]
                         )
                     out.extend(await router.submit_batch(chunk))
                 audit = await router.audit()
@@ -514,14 +563,13 @@ class TestClusterSwapEquivalence:
         thr = NetworkState(quad_network, policy).alt_thresholds
 
         async def check():
-            with pytest.raises(ValueError, match="exactly one"):
-                await router.hot_swap()
-            with pytest.raises(ValueError, match="scalar threshold"):
-                await router.hot_swap(length_thresholds={2: thr})
+            with pytest.raises(ValueError, match="no bound row"):
+                await router.hot_swap({99: thr})
             with pytest.raises(ValueError, match="per-link"):
-                await router.hot_swap(alt_thresholds=thr[:-1])
+                await router.hot_swap(thr[:-1])
             with pytest.raises(ValueError, match="capacity"):
-                await router.hot_swap(alt_thresholds=[-1] * len(thr))
+                await router.hot_swap([-1] * len(thr))
+            assert router.policy_epoch == 0 and router.swaps == []
 
         asyncio.run(check())
 
@@ -532,13 +580,13 @@ class TestShardSwapOp:
             "shard_id": 0,
             "links": (0, 1),
             "capacities": {0: 10, 1: 10},
-            "thresholds": {0: 7, 1: 7},
+            "bounds": [{0: 7, 1: 7}] * 4,
         })
         assert worker.policy_epoch == 0
         assert worker.handle(("rescommit", "a", (0,), 1, 3)) == 1
-        assert worker.handle(("swap", 4, {0: 1, 1: 2}, None)) == 1
+        assert worker.handle(("swap", 4, [{0: 1, 1: 2}] * 4)) == 1
         assert worker.policy_epoch == 4
-        assert worker.thresholds == {0: 1, 1: 2}
+        assert worker.bounds == [{0: 1, 1: 2}] * 4
         # One circuit is already booked on link 0; the new bound of 1
         # refuses further alternates while the old bound admitted them.
         assert worker.handle(("rescommit", "b", (0,), 1, 3)) == 0
@@ -552,10 +600,10 @@ class TestShardSwapOp:
             "shard_id": 1,
             "links": (0,),
             "capacities": {0: 10},
-            "thresholds": {0: 7},
+            "bounds": [{0: 7}] * 4,
         })
-        worker.handle(("swap", 1, {0: 5}, {2: {0: 6}, 3: {0: 2}}))
-        assert worker.tables == {2: {0: 6}, 3: {0: 2}}
+        worker.handle(("swap", 1, [{0: 10}, {0: 5}, {0: 6}, {0: 2}]))
+        assert worker.bounds == [{0: 10}, {0: 5}, {0: 6}, {0: 2}]
         # kind = alternate hop length selects the per-length bound.
         for __ in range(2):
             worker.handle(("rescommit", f"r{__}", (0,), 1, 3))

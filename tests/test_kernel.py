@@ -138,7 +138,9 @@ class TestDifferential:
         times = sorted(set(data.draw(st.lists(instants, max_size=3))))
         schedule = []
         for when in times:
-            if policy.discipline == "length-threshold":
+            # Length-threshold policies also take per-link vectors, which
+            # bound every hop count alike.
+            if policy.discipline == "length-threshold" and data.draw(st.booleans()):
                 spec = {h: case.rng.integers(0, capacities + 1)
                         for h in policy.length_thresholds}
             else:
@@ -155,9 +157,7 @@ class TestDifferential:
         for k, chunk in enumerate(chunks):
             if k:
                 when, spec = schedule[k - 1]
-                key = ("length_thresholds" if isinstance(spec, dict)
-                       else "alt_thresholds")
-                state.hot_swap(**{key: spec}, now=when)
+                state.hot_swap(spec, now=when)
             decisions.extend(engine.decide_batch(chunk))
         oracle = aggregate_decisions(trace, decisions, warmup=case.warmup)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ from repro.serve import (
     AdaptationConfig,
     AdmitRequest,
     BatchConfig,
+    ClusterConfig,
+    ClusterRouter,
+    ClusterServer,
     Decision,
     MetricsRegistry,
     NetworkState,
@@ -39,6 +43,7 @@ from repro.serve import (
     replay_trace_socket,
     trace_requests,
 )
+from repro.serve.cluster import _HEADER, MAX_FRAME_BYTES, _frame
 from repro.serve.server import parse_request
 from repro.serve.telemetry import Counter, Histogram
 from repro.sim.simulator import simulate
@@ -558,6 +563,116 @@ class TestServerAbuseBounds:
                 assert engine.decisions_total == 2
 
         asyncio.run(run())
+
+
+class TestClusterServerAbuseBounds:
+    """The cluster's JSON-frame front end: an oversized or malformed frame
+    earns one error frame and a disconnect, and nothing read off the
+    socket is unpickled; the cluster keeps serving other clients."""
+
+    @staticmethod
+    async def _send(server, payload: bytes, size: int | None = None):
+        """Write one raw frame; returns (reply, whether the server then hung up)."""
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        writer.write(_HEADER.pack(len(payload) if size is None else size) + payload)
+        await writer.drain()
+        header = await asyncio.wait_for(reader.readexactly(_HEADER.size), 10.0)
+        reply = json.loads(await reader.readexactly(_HEADER.unpack(header)[0]))
+        at_eof = await asyncio.wait_for(reader.read(1), 10.0) == b""
+        writer.close()
+        return reply, at_eof
+
+    @classmethod
+    async def _served(cls, server, od, call_id) -> list:
+        """A fresh client gets a real decision — the cluster still serves."""
+        request = {"op": "batch",
+                   "requests": [["admit", call_id, list(od), 0.0, 0.0, 1]]}
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        writer.write(_frame(request))
+        await writer.drain()
+        header = await asyncio.wait_for(reader.readexactly(_HEADER.size), 10.0)
+        reply = json.loads(await reader.readexactly(_HEADER.unpack(header)[0]))
+        writer.close()
+        ((admitted, tier, reason),) = reply["decisions"]
+        assert admitted is True and tier == "primary" and reason is None
+        return reply
+
+    def _run(self, quad_network, quad_policy, body) -> None:
+        async def run():
+            router = ClusterRouter(
+                quad_network, quad_policy, ClusterConfig(num_shards=2)
+            )
+            server = ClusterServer(router)
+            await server.start()
+            try:
+                await body(server, next(iter(quad_policy.choices)))
+            finally:
+                await server.stop()
+
+        asyncio.run(run())
+
+    def test_oversized_frame_disconnects_before_reading_payload(
+        self, quad_network, quad_policy
+    ):
+        async def body(server, od):
+            # Announce 4 GiB but send nothing: the server must answer from
+            # the header alone, never wait for (or allocate) the payload.
+            reply, at_eof = await self._send(server, b"", size=2**32 - 1)
+            assert f"exceeds {MAX_FRAME_BYTES} bytes" in reply["error"]
+            assert at_eof
+            reply, at_eof = await self._send(
+                server, b"", size=MAX_FRAME_BYTES + 1
+            )
+            assert "exceeds" in reply["error"] and at_eof
+            await self._served(server, od, call_id=1)
+
+        self._run(quad_network, quad_policy, body)
+
+    def test_malformed_frames_disconnect_with_error(
+        self, quad_network, quad_policy
+    ):
+        async def body(server, od):
+            for payload in (
+                b"{not json",
+                b"\xff\xfe",
+                b"[1, 2]",
+                pickle.dumps({"op": "ping"}),
+            ):
+                reply, at_eof = await self._send(server, payload)
+                assert reply["error"].startswith("malformed frame"), payload
+                assert at_eof
+            await self._served(server, od, call_id=1)
+
+        self._run(quad_network, quad_policy, body)
+
+    def test_malformed_batch_is_answered_not_fatal(
+        self, quad_network, quad_policy
+    ):
+        async def body(server, od):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            for message in (
+                {"op": "batch", "requests": [["admit", 1]]},
+                {"op": "batch", "requests": [["teleport", 1]]},
+                {"op": "batch", "requests": [["release", [1], 0.0]]},
+                {"op": "batch"},
+                {"op": "ping"},
+            ):
+                writer.write(_frame(message))
+                await writer.drain()
+                header = await reader.readexactly(_HEADER.size)
+                reply = json.loads(
+                    await reader.readexactly(_HEADER.unpack(header)[0])
+                )
+                if message["op"] == "ping":
+                    assert reply == {"ok": True}  # same connection still open
+                else:
+                    assert reply["error"].startswith("malformed batch")
+            writer.close()
+            await self._served(server, od, call_id=1)
+
+        self._run(quad_network, quad_policy, body)
 
 
 class TestEngineEdges:
