@@ -17,8 +17,8 @@ EXP-CTL study to certify the fix (:mod:`repro.control`):
   measured latency must stay in the sub-millisecond range;
 * **tracking** — swap counts and time-to-reconverge from the serve-plane
   regime-shift report, plus bit-identity of the EWMA arm's compiled-kernel
-  replay against the scalar loop (the kernel's ``threshold_schedule``
-  support is load-bearing here).
+  run (a ``threshold_schedule``, which is load-bearing here) against the
+  serve engine's live adaptation replay of the same trace.
 
 Results land in ``BENCH_control_loop.json`` at the repo root.  Fidelity
 knobs shared with the other benchmarks: ``REPRO_BENCH_SEEDS``,
@@ -76,11 +76,13 @@ def test_control_loop(bench_config):
         assert doc["clamp_violations"] == 0, (
             f"{spec}: controller violated the Theorem-1 protection floor"
         )
-        # The EWMA arm's piecewise-constant schedule replayed through the
-        # compiled kernel must agree with the scalar loop bit for bit.
+        # The EWMA arm's threshold schedule, run through the compiled
+        # kernel, must agree bit for bit with the serve engine's live
+        # adaptation replay of the same trace.
         assert doc["ewma_batch_matches_loop"], (
-            f"{spec}: batch threshold_schedule replay diverged from the "
-            "scalar adaptive loop"
+            f"{spec}: the kernel's EWMA threshold schedule diverged from the "
+            "serve engine's live adaptation replay (NetworkState + "
+            "AdaptationConfig)"
         )
         # The loop must actually run and swap: a controller that never
         # moves the thresholds is indistinguishable from static.

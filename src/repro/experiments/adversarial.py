@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.erlang_bound import erlang_bound
-from ..routing.adaptive import AdaptiveProtectionSimulator
+from ..routing.adaptive import AdaptationConfig, AdaptiveProtectionSimulator
 from ..sim.metrics import aggregate
 from ..sim.simulator import simulate
 from ..traffic.demand import primary_link_loads
@@ -116,7 +116,6 @@ def adversarial_load_study(
     report (recompute on vs off) for one representative seed.
     """
     from ..serve.loadgen import measure_regime_shift
-    from ..serve.state import AdaptationConfig
 
     reference = _study_scenario("stationary", max_hops, load_scale)
     network = reference.network
@@ -159,7 +158,7 @@ def adversarial_load_study(
             update_interval=_UPDATE_INTERVAL,
             ewma_weight=_EWMA_WEIGHT,
             max_hops=max_hops,
-            initial_loads=tuple(float(x) for x in nominal_loads),
+            initial_loads=nominal_loads,
         )
         serve_on = measure_regime_shift(
             network, policy, serve_trace,

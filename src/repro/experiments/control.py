@@ -10,11 +10,13 @@ random numbers —
 
 * **static** — the paper's offline ``r^k`` (Equation 15 from the nominal
   matrix), frozen; evaluated through the compiled admission kernel;
-* **ewma** — the EXP-ADV recompute loop
-  (:class:`~repro.routing.adaptive.AdaptiveProtectionSimulator`).  Its
-  threshold trajectory is piecewise-constant, so each run's schedule is
-  re-evaluated through the kernel's ``threshold_schedule`` support
-  and asserted bit-identical to the scalar loop — the study itself
+* **ewma** — the EXP-ADV recompute rule
+  (:class:`~repro.routing.adaptive.AdaptiveProtectionSimulator`), whose
+  piecewise-constant threshold trajectory runs as a kernel
+  ``threshold_schedule``.  Each run is asserted bit-identical to the
+  serve engine's live adaptation replay of the same trace
+  (:class:`~repro.serve.state.NetworkState` with an
+  :class:`~repro.routing.adaptive.AdaptationConfig`) — the study itself
   guards the kernel;
 * **online** — the :class:`repro.control.loop.ControlLoop` closed over a
   live :class:`~repro.serve.engine.RequestEngine`: a volatility-gated
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..routing.adaptive import AdaptiveProtectionSimulator
+from ..routing.adaptive import AdaptationConfig, AdaptiveProtectionSimulator
 from ..routing.alternate import ControlledAlternateRouting, LengthAdaptiveControlledRouting
 from ..sim.batch import simulate_batch
 from ..sim.metrics import aggregate
@@ -100,6 +102,18 @@ def hindsight_matrix(
     return TrafficMatrix(array)
 
 
+def _adaptation_replay(network, policy, trace, warmup, config):
+    """The serve engine's live adaptation over ``trace``: result + refreshes."""
+    from ..serve.engine import RequestEngine
+    from ..serve.loadgen import aggregate_decisions, trace_requests
+    from ..serve.state import NetworkState
+
+    state = NetworkState(network, policy, adaptation=config)
+    engine = RequestEngine(network, policy, state=state)
+    decisions = engine.decide_batch(trace_requests(trace))
+    return aggregate_decisions(trace, decisions, warmup), state.refreshes
+
+
 def _online_run(network, table, traffic, policy, trace, warmup, controller, interval):
     """One closed-loop engine replay; returns its result and the loop."""
     from ..control import make_control_loop
@@ -132,14 +146,18 @@ def control_loop_study(
     network = reference.network
     table = reference.path_table
     traffic = reference.traffic_matrix
-    capacities = network.capacities().astype(np.int64)
     nominal_loads = primary_link_loads(network, table, traffic)
     static_policy = reference.build_policy("controlled")
     online_policy = LengthAdaptiveControlledRouting(network, table, nominal_loads)
-    # The EWMA arm replays AdaptiveProtectionSimulator's exact policy
-    # structure (no splits) so its threshold schedule can be re-evaluated
-    # bit-for-bit through the compiled kernel.
+    # The EWMA arm's serve replay uses AdaptiveProtectionSimulator's exact
+    # policy structure (no splits), so the two can agree bit for bit.
     ewma_policy = ControlledAlternateRouting(network, table, nominal_loads)
+    ewma_config = AdaptationConfig(
+        update_interval=interval,
+        ewma_weight=_EWMA_WEIGHT,
+        max_hops=max_hops,
+        initial_loads=nominal_loads,
+    )
 
     # The stationary control: what the static deployment blocks when the
     # demand actually is the matrix it was provisioned for.  The per-
@@ -187,22 +205,21 @@ def control_loop_study(
                 max_hops=max_hops,
                 initial_loads=nominal_loads,
             )
-            scalar = adaptive.run()
-            ewma_blocking.append(scalar.network_blocking)
+            kernel_run = adaptive.run()
+            ewma_blocking.append(kernel_run.network_blocking)
             ewma_updates.append(len(adaptive.updates) - 1)
-            # The adaptive loop *is* a piecewise-constant threshold
-            # trajectory; its batch replay must agree bit for bit.
-            schedule = [
-                (u.time, (capacities - u.protection_levels).astype(np.int64))
-                for u in adaptive.updates[1:]
-            ]
-            (replay,) = simulate_batch(
-                network, ewma_policy, [trace], config.warmup,
-                threshold_schedule=schedule,
+            replay, refreshes = _adaptation_replay(
+                network, ewma_policy, trace, config.warmup, ewma_config
             )
             batch_matches_loop = batch_matches_loop and bool(
-                np.array_equal(replay.blocked, scalar.blocked)
-                and replay.alternate_carried == scalar.alternate_carried
+                np.array_equal(replay.blocked, kernel_run.blocked)
+                and replay.alternate_carried == kernel_run.alternate_carried
+                and len(refreshes) == len(adaptive.updates)
+                and all(
+                    r.time == u.time
+                    and np.array_equal(r.protection_levels, u.protection_levels)
+                    for r, u in zip(refreshes, adaptive.updates)
+                )
             )
 
         online_blocking = []

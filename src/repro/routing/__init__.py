@@ -7,13 +7,14 @@ from .alternate import (
     per_link_max_hops,
 )
 from .adaptive import (
+    AdaptationConfig,
     AdaptiveProtectionSimulator,
     ThresholdUpdate,
     simulate_adaptive,
 )
 from .base import RouteChoice, RoutingPolicy, compile_route_choices
 from .dar import DynamicAlternateRouting, PowerOfDAlternateRouting
-from .estimator import EwmaRateEstimator, estimate_loads_from_trace
+from .estimator import estimate_loads_from_trace
 from .least_busy import LeastBusyAlternateRouting
 from .minloss import MinLossSolution, optimize_primary_flows
 from .shadow import OttKrishnanRouting, link_shadow_prices
@@ -28,6 +29,7 @@ __all__ = [
     "ControlledAlternateRouting",
     "LengthAdaptiveControlledRouting",
     "per_link_max_hops",
+    "AdaptationConfig",
     "AdaptiveProtectionSimulator",
     "ThresholdUpdate",
     "simulate_adaptive",
@@ -38,6 +40,5 @@ __all__ = [
     "link_shadow_prices",
     "MinLossSolution",
     "optimize_primary_flows",
-    "EwmaRateEstimator",
     "estimate_loads_from_trace",
 ]

@@ -1,17 +1,14 @@
-"""Online estimation of per-link primary demand (an extension).
+"""Measured per-link primary demand (an extension).
 
 The paper assumes each link knows its primary traffic demand ``Lambda^k`` a
 priori and explicitly leaves the estimation procedure out of scope ("The
 estimation procedure is not detailed in this report"), noting that the
-robustness of state protection makes estimation error benign.  This module
-supplies the missing piece so the ablation can measure that claim:
-
-* :class:`EwmaRateEstimator` — an exponentially weighted moving average of
-  the primary call-setup rate a link observes ("found from the primary call
-  set-ups that fly past the link");
-* :func:`estimate_loads_from_trace` — a one-shot measurement pass: count
-  primary setups per link over a trace and divide by time, which is what a
-  deployment's warm-started estimator converges to.
+robustness of state protection makes estimation error benign.
+:func:`estimate_loads_from_trace` supplies the missing piece so the
+ablation can measure that claim: a one-shot measurement pass that counts
+primary set-ups per link over a trace and divides by time, which is what a
+deployment's warm-started estimator converges to.  The windowed EWMA form
+of the same measurement is :mod:`repro.routing.adaptive`.
 """
 
 from __future__ import annotations
@@ -21,48 +18,9 @@ import numpy as np
 from ..routing.base import RoutingPolicy
 from ..topology.graph import Network
 from ..sim.trace import ArrivalTrace
+from .adaptive import primary_setups
 
-__all__ = ["EwmaRateEstimator", "estimate_loads_from_trace"]
-
-
-class EwmaRateEstimator:
-    """EWMA estimate of a point process rate from its event times.
-
-    Between events the estimate decays toward zero; each observed event adds
-    an impulse.  With time constant ``tau`` the estimator tracks rate changes
-    on that time scale while averaging out Poisson noise.  Formally it is the
-    shot-noise filter ``rate(t) = sum over events e of exp(-(t-e)/tau) / tau``
-    whose mean equals the true rate in steady state.
-    """
-
-    def __init__(self, time_constant: float, initial_rate: float = 0.0):
-        if time_constant <= 0:
-            raise ValueError("time_constant must be positive")
-        if initial_rate < 0:
-            raise ValueError("initial_rate must be non-negative")
-        self.time_constant = float(time_constant)
-        self._value = float(initial_rate)
-        self._last_time = 0.0
-
-    def observe(self, time: float) -> None:
-        """Record one event at ``time`` (non-decreasing times required)."""
-        self._decay_to(time)
-        self._value += 1.0 / self.time_constant
-
-    def rate(self, time: float) -> float:
-        """Current rate estimate at ``time``."""
-        self._decay_to(time)
-        return self._value
-
-    def _decay_to(self, time: float) -> None:
-        if time < self._last_time:
-            raise ValueError(
-                f"time went backwards: {time} < {self._last_time}"
-            )
-        elapsed = time - self._last_time
-        if elapsed > 0:
-            self._value *= float(np.exp(-elapsed / self.time_constant))
-            self._last_time = time
+__all__ = ["estimate_loads_from_trace"]
 
 
 def estimate_loads_from_trace(
@@ -83,17 +41,5 @@ def estimate_loads_from_trace(
     """
     if warmup < 0 or warmup >= trace.duration:
         raise ValueError("warmup must lie in [0, duration)")
-    counts = np.zeros(network.num_links, dtype=np.int64)
-    times = trace.times
-    start = int(np.searchsorted(times, warmup, side="left"))
-    od_index = trace.od_index
-    uniforms = trace.uniforms
-    for call in range(start, trace.num_calls):
-        od = trace.od_pairs[od_index[call]]
-        if od not in policy.choices or not policy.choices[od]:
-            continue
-        choice = policy.select_choice(od, float(uniforms[call]))
-        for link in choice.primary:
-            counts[link] += 1
-    window = trace.duration - warmup
-    return counts / window
+    counts = primary_setups(policy, trace, [warmup])[1]
+    return counts / (trace.duration - warmup)

@@ -44,7 +44,8 @@ from .loadgen import (
 from .server import ServeServer
 from .state import partition_links
 from .shed import MODES, OverloadConfig, OverloadControl, TokenBucket
-from .state import AdaptationConfig, NetworkState, ThresholdRefresh
+from ..routing.adaptive import AdaptationConfig
+from .state import NetworkState
 from .telemetry import (
     Counter,
     DEFAULT_LATENCY_BUCKETS,
@@ -61,7 +62,6 @@ __all__ = [
     "RequestEngine",
     "NetworkState",
     "AdaptationConfig",
-    "ThresholdRefresh",
     "OverloadConfig",
     "OverloadControl",
     "TokenBucket",

@@ -4,11 +4,11 @@ The offline simulators rebuild occupancy from scratch per run; the serving
 plane instead holds one long-lived :class:`NetworkState`: per-link
 occupancies in a NumPy array with O(1) per-link admit/release, the
 per-link alternate-admission thresholds of the compiled policy, and —
-optionally — the same online protection-level adaptation loop as
-:class:`repro.routing.adaptive.AdaptiveProtectionSimulator`: links count
-the primary set-ups that fly past them, periodically fold the measured
-rate into an EWMA demand estimate, and recompute their Equation-15
-protection levels via :func:`repro.core.protection.min_protection_level`.
+optionally — online protection-level adaptation, applied live: links count
+the primary set-ups that fly past them and, at every window boundary, take
+one :meth:`repro.routing.adaptive.AdaptationConfig.refresh` step (EWMA fold
+plus Equation 15), the same rule
+:class:`repro.routing.adaptive.AdaptiveProtectionSimulator` runs offline.
 
 With adaptation off (the default) the thresholds are exactly the policy's
 static ones, which is what makes a trace replay through the engine
@@ -22,15 +22,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.protection import min_protection_levels
+from ..routing.adaptive import AdaptationConfig, ThresholdUpdate
 from ..routing.base import RoutingPolicy, bound_table, policy_bounds
 from ..topology.graph import Network
 
 __all__ = [
-    "AdaptationConfig",
     "NetworkState",
     "PolicySwap",
-    "ThresholdRefresh",
     "partition_links",
 ]
 
@@ -54,40 +52,6 @@ def partition_links(num_links: int, num_shards: int) -> tuple[tuple[int, ...], .
 
 #: Disciplines the serving plane speaks: the paper's threshold family.
 _SUPPORTED_DISCIPLINES = ("threshold", "length-threshold")
-
-
-@dataclass(frozen=True)
-class AdaptationConfig:
-    """Online protection refresh: the adaptive simulator's knobs, served.
-
-    Every ``update_interval`` units of request time, each link folds its
-    observed primary set-up rate into an EWMA estimate with weight
-    ``ewma_weight`` and recomputes its protection level for ``max_hops``.
-    ``initial_loads`` seeds the estimates (``None`` = cold start: links
-    begin unprotected and harden as they learn).
-    """
-
-    update_interval: float = 5.0
-    ewma_weight: float = 0.3
-    max_hops: int = 6
-    initial_loads: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.update_interval <= 0:
-            raise ValueError("update_interval must be positive")
-        if not 0 < self.ewma_weight <= 1:
-            raise ValueError("ewma_weight must lie in (0, 1]")
-        if self.max_hops < 1:
-            raise ValueError("max_hops must be >= 1")
-
-
-@dataclass(frozen=True)
-class ThresholdRefresh:
-    """One adaptation step: when it fired and what the links adopted."""
-
-    time: float
-    estimated_loads: np.ndarray
-    protection_levels: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -146,7 +110,7 @@ class NetworkState:
         self._rows: list[list[int]] = []
         self._rows_of: np.ndarray | None = None
         self.adaptation = adaptation
-        self.refreshes: list[ThresholdRefresh] = []
+        self.refreshes: list[ThresholdUpdate] = []
         #: Monotone policy version: 0 at construction, bumped by every
         #: :meth:`hot_swap`.  Decisions are attributable to the epoch in
         #: force when they were made; the cluster stamps it into every
@@ -168,15 +132,12 @@ class NetworkState:
                     "online threshold adaptation requires the 'threshold' "
                     "discipline"
                 )
-            if adaptation.initial_loads is None:
-                self._estimates = np.zeros(network.num_links, dtype=float)
-            else:
-                self._estimates = np.asarray(adaptation.initial_loads, dtype=float)
-                if self._estimates.shape != (network.num_links,):
-                    raise ValueError("initial_loads must be per-link")
+            self._estimates, levels = adaptation.refresh(
+                self.capacities, adaptation.initial_estimates(network.num_links)
+            )
             self.setup_counts = np.zeros(network.num_links, dtype=np.int64)
             self.next_refresh: float | None = adaptation.update_interval
-            self._apply_levels(0.0)
+            self._apply_levels(0.0, levels)
         else:
             self.next_refresh = None
 
@@ -265,23 +226,14 @@ class NetworkState:
 
     # ------------------------------------------------------------ adaptation
 
-    def _apply_levels(self, now: float) -> None:
+    def _apply_levels(self, now: float, levels: np.ndarray) -> None:
         capacities = self.capacities
-        levels = min_protection_levels(
-            self._estimates, capacities, self.adaptation.max_hops
-        )
         incoming = bound_table(capacities - levels, capacities, self.bounds)
         self.last_refresh_delta = float(
             np.abs(incoming - self.bounds).max(initial=0)
         )
         self.bounds = incoming
-        self.refreshes.append(
-            ThresholdRefresh(
-                time=now,
-                estimated_loads=self._estimates.copy(),
-                protection_levels=levels,
-            )
-        )
+        self.refreshes.append(ThresholdUpdate(now, self._estimates, levels))
 
     def maybe_refresh(self, now: float) -> bool:
         """Run every adaptation window boundary at or before ``now``.
@@ -293,13 +245,11 @@ class NetworkState:
             return False
         config = self.adaptation
         while now >= self.next_refresh:
-            measured = self.setup_counts / config.update_interval
-            self._estimates = (
-                (1.0 - config.ewma_weight) * self._estimates
-                + config.ewma_weight * measured
+            self._estimates, levels = config.refresh(
+                self.capacities, self._estimates, self.setup_counts
             )
             self.setup_counts[:] = 0
-            self._apply_levels(self.next_refresh)
+            self._apply_levels(self.next_refresh, levels)
             self.recompute_count += 1
             self.next_refresh += config.update_interval
         return True

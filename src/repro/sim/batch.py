@@ -1,19 +1,21 @@
 """Many traces of one ``(network, policy)``, optionally under a threshold plan.
 
-:func:`simulate_batch` replays each trace through the compiled admission
-kernel (:mod:`repro.sim.kernel`): the policy's route table is compiled once
-and reused for every trace, one kernel call per trace.  Configurations the
-kernel does not cover (DAR, power-of-d, shadow prices, multi-class traces)
-run through :meth:`~repro.sim.simulator.LossNetworkSimulator.run`, whose
-general loop accepts everything; each result's ``backend`` says which engine
-ran.
+:func:`simulate_batch` replays each trace the way
+:meth:`~repro.sim.simulator.LossNetworkSimulator.run` does by default: the
+compiled admission kernel (:mod:`repro.sim.kernel`) where it applies, with
+the policy's route table compiled once and reused for every trace, and the
+general loop otherwise (DAR, power-of-d, shadow prices, multi-class or
+multi-rate traces, or no C compiler); each result's ``backend`` says which
+engine ran.
 
 ``threshold_schedule`` is a list of ``(time, thresholds)`` entries with
 strictly increasing positive times: calls arriving at or after ``time``
 face ``thresholds`` (a per-link vector, or a ``{hops: per-link}`` mapping
 for per-hop-length protection) until the next entry.  This is how the
-control-loop study replays a piecewise-constant threshold trajectory; it
-needs the kernel and a ``threshold`` or ``length-threshold`` policy.
+control-loop study replays a piecewise-constant threshold trajectory and
+how :class:`~repro.routing.adaptive.AdaptiveProtectionSimulator` runs its
+EWMA refreshes; it needs a ``threshold`` or ``length-threshold`` policy,
+and both engines apply it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Sequence
 
 from ..routing.base import RoutingPolicy
 from ..topology.graph import Network
-from .kernel import KERNEL_DISCIPLINES, load_kernel
+from .kernel import KERNEL_DISCIPLINES
 from .metrics import SimulationResult
 from .simulator import LossNetworkSimulator
 from .trace import ArrivalTrace
@@ -39,25 +41,16 @@ def simulate_batch(
 ) -> list[SimulationResult]:
     """One :class:`SimulationResult` per trace, in trace order.
 
-    Raises :class:`ValueError` for an invalid ``threshold_schedule`` (or one
-    paired with a policy or trace the kernel cannot run) and
-    :class:`RuntimeError` when a schedule is given but the kernel could not
-    be built — the general loop has no threshold schedules.
+    Raises :class:`ValueError` for an invalid ``threshold_schedule`` or one
+    paired with a policy outside the threshold family.
     """
     simulators = [
         LossNetworkSimulator(network, policy, trace, warmup) for trace in traces
     ]
-    if not threshold_schedule:
-        return [simulator.run() for simulator in simulators]
-    _check_schedule(policy, threshold_schedule)
-    if not all(simulator._kernel_eligible() for simulator in simulators):
-        raise ValueError("threshold schedules need single-class unit-bandwidth traces")
-    kernel = load_kernel()
-    if kernel is None:
-        raise RuntimeError("threshold schedules need the compiled admission kernel")
+    if threshold_schedule:
+        _check_schedule(policy, threshold_schedule)
     return [
-        simulator._run_compiled(kernel, threshold_schedule)
-        for simulator in simulators
+        simulator._run_auto(threshold_schedule) for simulator in simulators
     ]
 
 

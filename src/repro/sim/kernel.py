@@ -14,7 +14,8 @@ A policy is compiled into a :class:`RouteTable` — flat CSR arrays of
 per-pair candidates, cumulative split probabilities and path links — once
 per ``(policy, O-D pair list)`` and reused for every trace.  Thresholds are
 read afresh per run (:func:`threshold_rows`), one block of int32 rows per
-schedule segment.  :func:`admit` checks the dtype, length and index range of
+schedule segment (:func:`bound_segments`, which the reference loop steps
+through too).  :func:`admit` checks the dtype, length and index range of
 every array before handing pointers to C, so the kernel never reads or
 writes out of bounds.
 """
@@ -44,6 +45,7 @@ __all__ = [
     "KERNEL_DISCIPLINES",
     "RouteTable",
     "admit",
+    "bound_segments",
     "load_kernel",
     "route_table",
     "threshold_rows",
@@ -255,31 +257,41 @@ def _in_range(values: np.ndarray, end: int, name: str) -> None:
 # ------------------------------------------------------------- thresholds
 
 
+def bound_segments(policy, capacities, hops: int, schedule=None) -> list[np.ndarray]:
+    """The bound tables a threshold schedule steps through, in order.
+
+    Table 0 is the policy's own (:func:`~repro.routing.base.policy_bounds`);
+    table ``k`` is table ``k - 1`` updated by the ``k``-th schedule entry
+    through :func:`~repro.routing.base.bound_table` (the function
+    ``NetworkState.hot_swap`` applies).  Every table has rows for hop
+    counts ``0..hops`` and for any hop count the policy or an entry names.
+    """
+    specs = [spec for __, spec in schedule or ()]
+    hops = max([hops, *(
+        int(h) for spec in specs if isinstance(spec, Mapping) for h in spec
+    )])
+    segments = [policy_bounds(policy, hops)]
+    for spec in specs:
+        segments.append(bound_table(spec, capacities, segments[-1]))
+    return segments
+
+
 def threshold_rows(policy, table: RouteTable, capacities: np.ndarray,
                    schedule=None) -> tuple[np.ndarray, int, np.ndarray]:
     """Alternate-admission thresholds as ``(rows, row_stride, switch_times)``.
 
-    ``rows`` has shape ``(segments, rows_per_segment, links)``: segment 0 is
-    the policy's own bound table, segment ``k`` the previous one updated by
-    the ``k``-th schedule entry through :func:`~repro.routing.base.bound_table`
-    (the function ``NetworkState.hot_swap`` applies).  Per-hop-length bounds
-    (the ``length-threshold`` discipline, or any schedule entry given as a
+    ``rows`` has shape ``(segments, rows_per_segment, links)``, one
+    :func:`bound_segments` table per segment.  Per-hop-length bounds (the
+    ``length-threshold`` discipline, or any schedule entry given as a
     ``{hops: per-link}`` mapping) keep one row per hop count, ``row_stride =
     links``; flat per-link thresholds keep a single row, ``row_stride=0``.
     """
-    specs = [spec for __, spec in schedule or ()]
     by_length = policy.discipline == "length-threshold" or any(
-        isinstance(spec, Mapping) for spec in specs
+        isinstance(spec, Mapping) for __, spec in schedule or ()
     )
-    hops = 0
-    if by_length:
-        hops = max([table.max_path_len, *(
-            int(h) for spec in specs if isinstance(spec, Mapping) for h in spec
-        )])
-    segments = [policy_bounds(policy, hops)]
-    for spec in specs:
-        segments.append(bound_table(spec, capacities, segments[-1]))
-    rows = np.stack(segments)
+    rows = np.stack(bound_segments(
+        policy, capacities, table.max_path_len if by_length else 0, schedule
+    ))
     if rows.size and (rows.min() < -_INT32_MAX or rows.max() > _INT32_MAX):
         raise ValueError("thresholds exceed the int32 range")
     switch_times = np.array([float(t) for t, __ in schedule or ()], dtype=np.float64)

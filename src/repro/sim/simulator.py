@@ -53,10 +53,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..routing.base import RoutingPolicy
+from ..routing.base import RoutingPolicy, policy_bounds
 from ..topology.graph import Network
 from .faultplane import FaultEvent, FaultStats, FaultTimeline
-from .kernel import KERNEL_DISCIPLINES, admit, load_kernel, route_table, threshold_rows
+from .kernel import (
+    KERNEL_DISCIPLINES,
+    admit,
+    bound_segments,
+    load_kernel,
+    route_table,
+    threshold_rows,
+)
 from .metrics import BinnedSeries, SimulationResult
 from .trace import ArrivalTrace
 
@@ -173,11 +180,23 @@ class LossNetworkSimulator:
         the statistics are bit-identical; ``SimulationResult.backend``
         records which one ran (``"compiled"`` or ``"reference"``).
         """
-        if check_backend(backend) != "reference" and self._kernel_eligible():
+        if check_backend(backend) == "reference":
+            return self._run_general()
+        return self._run_auto()
+
+    def _run_auto(self, threshold_schedule=None) -> SimulationResult:
+        """``run(backend="auto")``, optionally under a threshold schedule.
+
+        ``threshold_schedule`` (``[(time, thresholds), ...]``, validated by
+        :func:`repro.sim.batch.simulate_batch`, its one caller) switches the
+        alternate-admission bounds for calls arriving at or after each
+        time; both engines apply it.
+        """
+        if self._kernel_eligible():
             kernel = load_kernel()
             if kernel is not None:
-                return self._run_compiled(kernel)
-        return self._run_general()
+                return self._run_compiled(kernel, threshold_schedule)
+        return self._run_general(threshold_schedule)
 
     def _kernel_eligible(self) -> bool:
         trace = self.trace
@@ -208,12 +227,7 @@ class LossNetworkSimulator:
         return links, holding
 
     def _run_compiled(self, kernel, threshold_schedule=None) -> SimulationResult:
-        """One kernel call; see :mod:`repro.sim.kernel` for the loop itself.
-
-        ``threshold_schedule`` (``[(time, thresholds), ...]``) switches the
-        alternate thresholds for calls arriving at or after each time; it is
-        reachable through :func:`repro.sim.batch.simulate_batch`.
-        """
+        """One kernel call; see :mod:`repro.sim.kernel` for the loop itself."""
         trace = self.trace
         table = route_table(self.policy, trace.od_pairs)
         capacities = self.network.capacities()
@@ -262,7 +276,7 @@ class LossNetworkSimulator:
             backend="compiled",
         )
 
-    def _run_general(self) -> SimulationResult:
+    def _run_general(self, threshold_schedule=None) -> SimulationResult:
         trace = self.trace
         num_links = self.network.num_links
         capacities = self.network.capacities().tolist()
@@ -299,6 +313,16 @@ class LossNetworkSimulator:
         single_choice, multi, run_call, threshold_lists, pristine_thresholds = (
             self._compile(self.policy, capacities, occupancy)
         )
+        # Later bound tables of a threshold schedule, installed into the
+        # closure's rows at their switch times (simulate_batch, the only
+        # source of schedules, runs no fault plane).
+        later_bounds = bound_segments(
+            self.policy, self.network.capacities(),
+            len(threshold_lists) - 1, threshold_schedule,
+        )[1:] if threshold_schedule else []
+        switches = [float(when) for when, __ in threshold_schedule or ()]
+        switches.append(_INFINITY)
+        segment = 0
 
         collect = self.collect_link_stats
         if collect:
@@ -448,6 +472,10 @@ class LossNetworkSimulator:
                     release_departure(heap_pop(departures))
             else:
                 advance_to(now)
+            while now >= switches[segment]:
+                for row, bounds in zip(threshold_lists, later_bounds[segment]):
+                    row[:] = bounds.tolist()
+                segment += 1
             pair = od_index[call]
             width = 1 if bandwidths is None else bandwidths[call]
             measured = now >= warmup
@@ -570,12 +598,15 @@ class LossNetworkSimulator:
                 single_choice.append(None)
                 multi.append((options, policy.cum_probs[od].tolist()))
 
-        if policy.discipline == "threshold":
-            if policy.alt_thresholds is None:
-                raise ValueError(f"policy {policy.name!r} lacks alternate thresholds")
-            thresholds = [int(t) for t in policy.alt_thresholds]
-            run_call = self._make_threshold_step(capacities, thresholds, occupancy)
-            threshold_lists = [thresholds]
+        if policy.discipline in KERNEL_DISCIPLINES:
+            hops = max(
+                (len(alt) for options in policy.choices.values()
+                 for choice in options for alt in choice.alternates),
+                default=0,
+            )
+            rows = [row.tolist() for row in policy_bounds(policy, hops)]
+            run_call = self._make_threshold_step(capacities, rows, occupancy)
+            threshold_lists = rows
         elif policy.discipline == "dar":
             if policy.alt_thresholds is None:
                 raise ValueError(f"policy {policy.name!r} lacks alternate thresholds")
@@ -590,13 +621,6 @@ class LossNetworkSimulator:
                 policy, capacities, thresholds, occupancy
             )
             threshold_lists = [thresholds]
-        elif policy.discipline == "length-threshold":
-            tables = getattr(policy, "length_thresholds", None)
-            if tables is None:
-                raise ValueError(f"policy {policy.name!r} lacks length thresholds")
-            tables = {length: list(row) for length, row in tables.items()}
-            run_call = self._make_length_threshold_step(capacities, tables, occupancy)
-            threshold_lists = [tables[length] for length in sorted(tables)]
         elif policy.discipline == "least-busy":
             if policy.alt_thresholds is None:
                 raise ValueError(f"policy {policy.name!r} lacks alternate thresholds")
@@ -615,12 +639,15 @@ class LossNetworkSimulator:
 
     # ------------------------------------------------------------- admission
 
-    def _make_threshold_step(self, capacities, thresholds, occupancy):
-        """Build the per-call admission closure for threshold policies.
+    def _make_threshold_step(self, capacities, rows, occupancy):
+        """Admission closure for the threshold family.
 
         A primary call of bandwidth ``width`` fits iff every link has
-        ``width`` free units; an alternate call additionally may not push
-        any link past its protection threshold.
+        ``width`` free units; an alternate of ``h`` hops additionally may
+        not push any link past its bound in ``rows[h]``, the policy's bound
+        table (:func:`~repro.routing.base.policy_bounds`: every row equal
+        under ``threshold``, laxer rows for shorter alternates under
+        ``length-threshold``, the Section-3.2 refinement).
         """
 
         def step(choice, width, pair, call):
@@ -630,34 +657,9 @@ class LossNetworkSimulator:
             else:
                 return choice.primary, False
             for alt in choice.alternates:
+                bounds = rows[len(alt)]
                 for link in alt:
-                    if occupancy[link] + width > thresholds[link]:
-                        break
-                else:
-                    return alt, True
-            return None, False
-
-        return step
-
-    def _make_length_threshold_step(self, capacities, tables, occupancy):
-        """Admission closure for hop-length-aware protection.
-
-        ``tables[h]`` is the per-link threshold list applied to alternate
-        paths of exactly ``h`` hops — shorter alternates face laxer
-        thresholds since they displace fewer primaries (the Section-3.2
-        refinement).  Primary admission is unchanged.
-        """
-
-        def step(choice, width, pair, call):
-            for link in choice.primary:
-                if occupancy[link] + width > capacities[link]:
-                    break
-            else:
-                return choice.primary, False
-            for alt in choice.alternates:
-                thresholds = tables[len(alt)]
-                for link in alt:
-                    if occupancy[link] + width > thresholds[link]:
+                    if occupancy[link] + width > bounds[link]:
                         break
                 else:
                     return alt, True

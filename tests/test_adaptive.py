@@ -2,19 +2,29 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.api import Scenario
 from repro.core.protection import min_protection_level
-from repro.routing.adaptive import AdaptiveProtectionSimulator, simulate_adaptive
+from repro.routing.adaptive import (
+    AdaptationConfig,
+    AdaptiveProtectionSimulator,
+    simulate_adaptive,
+)
 from repro.routing.alternate import (
     ControlledAlternateRouting,
     LengthAdaptiveControlledRouting,
     per_link_max_hops,
 )
 from repro.routing.single_path import SinglePathRouting
+from repro.serve.engine import RequestEngine
+from repro.serve.loadgen import aggregate_decisions, trace_requests
+from repro.serve.state import NetworkState
 from repro.sim.simulator import simulate
-from repro.sim.trace import generate_trace
+from repro.sim.trace import generate_multiclass_trace, generate_trace
 from repro.topology.generators import fully_connected, line, ring
 from repro.topology.paths import build_path_table
 from repro.traffic.demand import primary_link_loads
@@ -246,3 +256,76 @@ class TestAdaptiveProtectionSimulator:
         result, __ = simulate_adaptive(quad_network, quad_table, trace, warmup=5.0)
         carried = result.primary_carried + result.alternate_carried
         assert carried + result.total_blocked == result.total_offered
+
+    def test_config_checks_are_shared(self, quad_network, quad_table):
+        # The simulator's knobs are validated by AdaptationConfig, so both
+        # refuse the same inputs with the same messages.
+        trace = generate_trace(uniform_traffic(4, 20.0), 20.0, 0)
+        for bad in (
+            {"update_interval": -1.0},
+            {"ewma_weight": 1.5},
+            {"max_hops": 0},
+            {"initial_loads": np.zeros((2, 2))},
+        ):
+            with pytest.raises(ValueError) as config_error:
+                AdaptationConfig(**bad)
+            with pytest.raises(ValueError, match=re.escape(str(config_error.value))):
+                AdaptiveProtectionSimulator(quad_network, quad_table, trace, **bad)
+
+
+def _engine_replay(network, table, trace, warmup, config):
+    """The serve engine's live adaptation over ``trace``: result + refreshes."""
+    policy = ControlledAlternateRouting(network, table, np.zeros(network.num_links))
+    state = NetworkState(network, policy, adaptation=config)
+    engine = RequestEngine(network, policy, state=state)
+    decisions = engine.decide_batch(trace_requests(trace))
+    return aggregate_decisions(trace, decisions, warmup), state.refreshes
+
+
+def _assert_same_run(result, updates, oracle, refreshes):
+    assert np.array_equal(result.offered, oracle.offered)
+    assert np.array_equal(result.blocked, oracle.blocked)
+    assert result.primary_carried == oracle.primary_carried
+    assert result.alternate_carried == oracle.alternate_carried
+    assert len(updates) == len(refreshes)
+    for update, refresh in zip(updates, refreshes):
+        assert update.time == refresh.time
+        assert np.array_equal(update.estimated_loads, refresh.estimated_loads)
+        assert np.array_equal(update.protection_levels, refresh.protection_levels)
+
+
+class TestAdaptiveMatchesServeAdaptation:
+    """``simulate_adaptive`` against the serve engine's live refresh."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("workload", ["stationary", "flash-crowd", "adversarial:0"])
+    def test_nsfnet_workloads(self, workload, seed):
+        scenario = Scenario(
+            topology="nsfnet", traffic="nominal", max_hops=6, load_scale=1.1,
+            workload=workload,
+        )
+        network, table = scenario.network, scenario.path_table
+        loads = primary_link_loads(network, table, scenario.traffic_matrix)
+        trace = scenario.make_trace(40.0, seed)
+        result, updates = simulate_adaptive(
+            network, table, trace, warmup=10.0, update_interval=5.0,
+            ewma_weight=0.3, max_hops=6, initial_loads=loads,
+        )
+        config = AdaptationConfig(5.0, 0.3, 6, loads)
+        oracle, refreshes = _engine_replay(network, table, trace, 10.0, config)
+        assert len(updates) > 5
+        _assert_same_run(result, updates, oracle, refreshes)
+
+    def test_multirate_trace_books_call_widths(self, quad_network, quad_table):
+        # Wide calls book their width on every link, offline as live.
+        traffic = uniform_traffic(4, 70.0)
+        trace = generate_multiclass_trace(
+            [("voice", traffic, 1), ("video", traffic.scaled(0.4), 4)], 60.0, 0
+        )
+        result, updates = simulate_adaptive(quad_network, quad_table, trace)
+        config = AdaptationConfig(max_hops=quad_table.max_hops)
+        oracle, refreshes = _engine_replay(
+            quad_network, quad_table, trace, 10.0, config
+        )
+        assert result.backend == "reference"
+        _assert_same_run(result, updates, oracle, refreshes)

@@ -1,65 +1,20 @@
-"""Tests for the online primary-load estimator."""
+"""Tests for the measured primary loads and the shared set-up counter."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.routing.estimator import EwmaRateEstimator, estimate_loads_from_trace
+from repro.routing.adaptive import primary_setups
+from repro.routing.alternate import ControlledAlternateRouting
+from repro.routing.estimator import estimate_loads_from_trace
+from repro.routing.minloss import optimize_primary_flows
 from repro.routing.single_path import SinglePathRouting
 from repro.sim.trace import generate_trace
 from repro.topology.paths import build_path_table
 from repro.traffic.calibration import nsfnet_nominal_traffic
 from repro.traffic.demand import primary_link_loads
 from repro.traffic.generators import uniform_traffic
-
-
-class TestEwmaRateEstimator:
-    def test_converges_to_poisson_rate(self):
-        rng = np.random.default_rng(0)
-        rate, tau = 20.0, 5.0
-        estimator = EwmaRateEstimator(time_constant=tau)
-        t = 0.0
-        for __ in range(20_000):
-            t += rng.exponential(1.0 / rate)
-            estimator.observe(t)
-        assert estimator.rate(t) == pytest.approx(rate, rel=0.3)
-
-    def test_decays_without_events(self):
-        estimator = EwmaRateEstimator(time_constant=1.0, initial_rate=10.0)
-        assert estimator.rate(0.0) == 10.0
-        assert estimator.rate(1.0) == pytest.approx(10.0 / np.e)
-        assert estimator.rate(50.0) < 1e-10
-
-    def test_single_event_impulse(self):
-        estimator = EwmaRateEstimator(time_constant=2.0)
-        estimator.observe(1.0)
-        assert estimator.rate(1.0) == pytest.approx(0.5)
-
-    def test_time_cannot_go_backwards(self):
-        estimator = EwmaRateEstimator(time_constant=1.0)
-        estimator.observe(5.0)
-        with pytest.raises(ValueError):
-            estimator.observe(4.0)
-        with pytest.raises(ValueError):
-            estimator.rate(4.0)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            EwmaRateEstimator(time_constant=0.0)
-        with pytest.raises(ValueError):
-            EwmaRateEstimator(time_constant=1.0, initial_rate=-1.0)
-
-    def test_zero_events_estimates_zero(self):
-        # A cold estimator that never observes anything must report exactly
-        # zero at any query time, not NaN or a stale initial value.
-        estimator = EwmaRateEstimator(time_constant=3.0)
-        assert estimator.rate(0.0) == 0.0
-        assert estimator.rate(100.0) == 0.0
-        # Querying never perturbs the state: an event after long silence
-        # still contributes its full impulse.
-        estimator.observe(100.0)
-        assert estimator.rate(100.0) == pytest.approx(1.0 / 3.0)
 
 
 class TestEstimateLoadsFromTrace:
@@ -117,3 +72,30 @@ class TestEstimateLoadsFromTrace:
         trace = generate_trace(traffic, 20.0, seed=0)
         with pytest.raises(ValueError):
             estimate_loads_from_trace(quad_network, policy, trace, warmup=25.0)
+
+
+class TestPrimarySetups:
+    def test_matches_a_per_call_count_on_bifurcated_pairs(self, nsfnet, nsfnet_table):
+        # The vectorised counter against the obvious loop: each call picks
+        # its primary with select_choice and counts one set-up per link in
+        # the window its arrival time falls in.
+        traffic = nsfnet_nominal_traffic().scaled(1.2)
+        splits = optimize_primary_flows(
+            nsfnet, nsfnet_table, traffic, max_iterations=30
+        ).splits
+        policy = ControlledAlternateRouting(
+            nsfnet, nsfnet_table, primary_link_loads(nsfnet, nsfnet_table, traffic),
+            splits=splits,
+        )
+        assert any(len(options) > 1 for options in policy.choices.values())
+        trace = generate_trace(traffic, 30.0, seed=3)
+        boundaries = [5.0, 12.5, trace.times[40], 25.0]
+        expected = np.zeros((len(boundaries) + 1, nsfnet.num_links), dtype=np.int64)
+        for call in range(trace.num_calls):
+            od = trace.od_pairs[trace.od_index[call]]
+            if not policy.choices.get(od):
+                continue
+            window = int(np.searchsorted(boundaries, trace.times[call], side="right"))
+            for link in policy.select_choice(od, float(trace.uniforms[call])).primary:
+                expected[window, link] += 1
+        assert np.array_equal(primary_setups(policy, trace, boundaries), expected)

@@ -5,14 +5,15 @@ traffic, a policy with random per-link (``threshold``) or per-hop-length
 (``length-threshold``) thresholds and, optionally, bifurcated pairs, warm
 starts and zero holding times.  The kernel (``backend="auto"``) must match
 the general loop (``backend="reference"``) bit for bit on offered, blocked
-and the carried split.  Threshold schedules have no general-loop form, so
-they are checked against the serving engine replayed in chunks with
-``NetworkState.hot_swap`` at the schedule's times.  The last tests cover
-the no-compiler fallback and the engine recorded in provenance.
+and the carried split.  Threshold schedules are checked, on both engines,
+against the serving engine replayed in chunks with ``NetworkState.hot_swap``
+at the schedule's times.  The last tests cover the no-compiler fallback and
+the engine recorded in provenance.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import warnings
 
@@ -105,6 +106,47 @@ def cases(draw, length_threshold=None, bifurcate=None, zero_holding=None):
     return Case(network, policy, trace, warmup, rng)
 
 
+def _check_schedule_against_hot_swap(case, data, backend):
+    """A random schedule through ``simulate_batch`` vs chunked engine swaps."""
+    policy, trace = case.policy, case.trace
+    capacities = case.network.capacities()
+    # Some switch times coincide with arrivals: a call arriving exactly
+    # at a switch already faces the new thresholds.
+    instants = st.floats(0.1, trace.duration)
+    if trace.num_calls:
+        instants |= st.sampled_from(trace.times[trace.times > 0].tolist() or [0.1])
+    times = sorted(set(data.draw(st.lists(instants, max_size=3))))
+    schedule = []
+    for when in times:
+        # Length-threshold policies also take per-link vectors, which
+        # bound every hop count alike.
+        if policy.discipline == "length-threshold" and data.draw(st.booleans()):
+            spec = {h: case.rng.integers(0, capacities + 1)
+                    for h in policy.length_thresholds}
+        else:
+            spec = case.rng.integers(0, capacities + 1)
+        schedule.append((when, spec))
+
+    state = NetworkState(case.network, policy)
+    engine = RequestEngine(case.network, policy, state=state)
+    chunks = [[] for __ in range(len(schedule) + 1)]
+    for request in trace_requests(trace):
+        chunks[int(np.searchsorted(times, request.time, side="right"))
+               ].append(request)
+    decisions = []
+    for k, chunk in enumerate(chunks):
+        if k:
+            when, spec = schedule[k - 1]
+            state.hot_swap(spec, now=when)
+        decisions.extend(engine.decide_batch(chunk))
+    oracle = aggregate_decisions(trace, decisions, warmup=case.warmup)
+
+    (result,) = simulate_batch(case.network, policy, [trace], case.warmup,
+                               threshold_schedule=schedule or None)
+    assert result.backend == backend
+    _assert_same(result, oracle, f"{backend} schedule")
+
+
 _SETTINGS = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -128,43 +170,18 @@ class TestDifferential:
     @_SETTINGS
     @given(case=cases(), data=st.data())
     def test_threshold_schedule_matches_engine_hot_swap(self, case, data):
-        policy, trace = case.policy, case.trace
-        capacities = case.network.capacities()
-        # Some switch times coincide with arrivals: a call arriving exactly
-        # at a switch already faces the new thresholds.
-        instants = st.floats(0.1, trace.duration)
-        if trace.num_calls:
-            instants |= st.sampled_from(trace.times[trace.times > 0].tolist() or [0.1])
-        times = sorted(set(data.draw(st.lists(instants, max_size=3))))
-        schedule = []
-        for when in times:
-            # Length-threshold policies also take per-link vectors, which
-            # bound every hop count alike.
-            if policy.discipline == "length-threshold" and data.draw(st.booleans()):
-                spec = {h: case.rng.integers(0, capacities + 1)
-                        for h in policy.length_thresholds}
-            else:
-                spec = case.rng.integers(0, capacities + 1)
-            schedule.append((when, spec))
+        _check_schedule_against_hot_swap(case, data, "compiled")
 
-        state = NetworkState(case.network, policy)
-        engine = RequestEngine(case.network, policy, state=state)
-        chunks = [[] for __ in range(len(schedule) + 1)]
-        for request in trace_requests(trace):
-            chunks[int(np.searchsorted(times, request.time, side="right"))
-                   ].append(request)
-        decisions = []
-        for k, chunk in enumerate(chunks):
-            if k:
-                when, spec = schedule[k - 1]
-                state.hot_swap(spec, now=when)
-            decisions.extend(engine.decide_batch(chunk))
-        oracle = aggregate_decisions(trace, decisions, warmup=case.warmup)
-
-        (compiled,) = simulate_batch(case.network, policy, [trace], case.warmup,
-                                     threshold_schedule=schedule or None)
-        assert compiled.backend == "compiled"
-        _assert_same(compiled, oracle, "schedule")
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow,
+                               HealthCheck.function_scoped_fixture],
+    )
+    @given(case=cases(), data=st.data())
+    def test_reference_schedule_matches_engine_hot_swap(self, no_compiler, case, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _check_schedule_against_hot_swap(case, data, "reference")
 
     def test_switch_applies_to_a_call_arriving_at_the_switch_time(self):
         network = fully_connected(3, capacity=1)
@@ -269,19 +286,28 @@ class TestWrapperChecks:
             routes.links[0] = 0
 
 
-@pytest.fixture
-def no_compiler(monkeypatch):
+@contextlib.contextmanager
+def _kernel_unavailable():
     """Make the kernel build fail and forget any library already loaded."""
 
     def fail(target):
         raise OSError("no compiler in this test")
 
     kernel.load_kernel.cache_clear()
-    monkeypatch.setattr(kernel, "_build", fail)
-    monkeypatch.setattr(kernel, "_library_path",
-                        lambda: kernel._SOURCE.parent / "__pycache__" / "absent.so")
-    yield
-    kernel.load_kernel.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "_build", fail)
+            patch.setattr(kernel, "_library_path", lambda: kernel._SOURCE.parent
+                          / "__pycache__" / "absent.so")
+            yield
+    finally:
+        kernel.load_kernel.cache_clear()
+
+
+@pytest.fixture
+def no_compiler():
+    with _kernel_unavailable():
+        yield
 
 
 class TestFallback:
@@ -297,12 +323,18 @@ class TestFallback:
             assert result.backend == "reference"
             _assert_same(result, reference)
 
-    def test_schedules_without_a_kernel_raise(self, no_compiler):
+    def test_schedules_without_a_kernel_run_the_reference(self):
         network, policy, trace = TestWrapperChecks()._setup()
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(RuntimeError, match="compiled admission kernel"):
-                simulate_batch(network, policy, [trace], 1.0,
-                               threshold_schedule=[(2.0, network.capacities())])
+        closed = np.zeros(network.num_links, dtype=np.int64)
+        schedule = [(1.5, closed), (3.0, network.capacities())]
+        (compiled,) = simulate_batch(network, policy, [trace], 1.0,
+                                     threshold_schedule=schedule)
+        with _kernel_unavailable(), pytest.warns(RuntimeWarning):
+            (fallback,) = simulate_batch(network, policy, [trace], 1.0,
+                                         threshold_schedule=schedule)
+        assert compiled.backend == "compiled"
+        assert fallback.backend == "reference"
+        _assert_same(fallback, compiled)
 
 
 class TestProvenance:
