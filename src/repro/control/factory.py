@@ -30,11 +30,7 @@ def _hop_lengths(state: NetworkState) -> tuple[int, ...]:
         return tuple(sorted(int(h) for h in state.policy.length_thresholds))
     hops = getattr(state.policy, "max_hops", None)
     if hops is None:
-        hops = max(
-            (len(alt) for entries in state.policy.choices.values()
-             for choice in entries for alt in choice.alternates),
-            default=1,
-        )
+        hops = max(state.routes.alternate_hops, default=1)
     if isinstance(hops, np.ndarray):
         hops = int(hops.max())
     return (int(hops),)
@@ -91,9 +87,9 @@ def make_control_loop(
         )
     else:
         alternates = {
-            od: entries[0].alternates
-            for od, entries in state.policy.choices.items()
-            if entries and entries[0].alternates
+            od: candidates[0][1]
+            for od, (candidates, __) in state.routes.view.items()
+            if candidates[0][1]
         }
         strategy = MarkovApproximationController(
             state.network,

@@ -11,7 +11,9 @@ into the :class:`~repro.control.estimator.DemandEstimator`, asks its
 :class:`~repro.control.controllers.Controller` for a proposal, projects
 the proposal through the Theorem-1
 :class:`~repro.control.controllers.SafetyClamp`, and applies the result
-atomically via :meth:`repro.serve.state.NetworkState.hot_swap` — unless
+atomically via :meth:`repro.serve.state.NetworkState.hot_swap` (and a
+proposal's alternate prefixes by installing a truncated
+:class:`~repro.sim.kernel.RouteTable` on the state) — unless
 the operator has pinned the policy epoch, in which case proposals are
 recorded (and visible in telemetry) but not applied: that is the
 rollback story, see ``docs/OPERATIONS.md``.
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 
 from ..serve.state import NetworkState
 from ..serve.telemetry import MetricsRegistry
+from ..sim.kernel import route_table
 from .controllers import Controller, ControlProposal, SafetyClamp
 from .estimator import DemandEstimator
 
@@ -178,6 +181,9 @@ class ControlLoop:
             max_delta = state.hot_swap(thresholds, now=now)
         else:
             max_delta = state.hot_swap(thresholds[min(thresholds)], now=now)
+        if proposal.alt_prefix is not None:  # cut the untruncated table
+            base = route_table(state.policy, state.routes.od_pairs)
+            state.routes = base.truncate(proposal.alt_prefix)
         swap_seconds = time.perf_counter() - start
         self.active_prefix = proposal.alt_prefix
         self._m_swaps.inc()

@@ -113,8 +113,8 @@ def primary_setups(policy: RoutingPolicy, trace: ArrivalTrace, boundaries) -> np
     those at or after the last one.  Every call counts one set-up on each
     link of its primary path, admitted or not — the set-up packet flies
     past the link either way.  A bifurcated pair's primary is the one the
-    call's uniform picks (as :meth:`RoutingPolicy.select_choice` does);
-    calls of unrouted pairs count nothing.
+    call's uniform picks (:meth:`repro.sim.kernel.RouteTable.pick`, here
+    over the whole trace at once); calls of unrouted pairs count nothing.
     """
     table = route_table(policy, trace.od_pairs)
     boundaries = np.asarray(boundaries, dtype=float)

@@ -90,6 +90,10 @@ class RoutingPolicy:
                 raise ValueError(f"cumulative probabilities mismatch for {od}")
             if probs.size and not np.isclose(probs[-1], 1.0):
                 raise ValueError(f"cumulative probabilities for {od} must end at 1")
+            # searchsorted here and the engines' scan agree only on this.
+            if probs.size and not (probs[0] >= 0 and (np.diff(probs) >= 0).all()):
+                raise ValueError(f"cumulative probabilities for {od} must be "
+                                 f"nondecreasing within [0, 1]")
         # Filled in by subclasses as appropriate.
         self.alt_thresholds: np.ndarray | None = None
         self.price_tables: list[np.ndarray] | None = None

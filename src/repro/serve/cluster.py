@@ -68,7 +68,8 @@ from ..routing.base import RoutingPolicy
 from ..sim.sigpolicy import CrankbackPolicy, HoldTimerPolicy, RetryPolicy
 from ..topology.graph import Network
 from .chaos import ChaosConfig, MessageChaos
-from .engine import AdmitRequest, Decision, ReleaseRequest, compile_routes
+from ..sim.kernel import RouteTable
+from .engine import AdmitRequest, Decision, ReleaseRequest, wire_request
 from .shard import PRIMARY_KIND
 from .state import NetworkState, PolicySwap, partition_links
 from .supervisor import ShardSupervisor
@@ -276,17 +277,11 @@ class ClusterRouter:
         self.config = config if config is not None else ClusterConfig()
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         self.journal = ReservationJournal(self.config.journal_path)
-        # Compile the same dispatch structures the engine uses.  The
-        # NetworkState is the fleet's bound table: it validates swaps and
-        # slices the rows for each shard; its occupancy stays unused.
+        # The NetworkState holds the fleet's route and bound tables: the
+        # router reads its routes, validates swaps through it and slices
+        # the rows for each shard; its occupancy stays unused.
         self._state = state = NetworkState(network, policy)
-        self._routes = compile_routes(policy)
         self.partitions = partition_links(network.num_links, self.config.num_shards)
-        self._link_shard = {
-            link: sid
-            for sid, links in enumerate(self.partitions)
-            for link in links
-        }
         chaos = self.config.chaos
         specs = {}
         for sid, links in enumerate(self.partitions):
@@ -312,8 +307,7 @@ class ClusterRouter:
         self._misses: dict[int, int] = {sid: 0 for sid in specs}
         self._lock = asyncio.Lock()
         self._batches = 0
-        self._path_groups: dict[tuple, tuple] = {}
-        self._candidates = self._compile_candidates()
+        self._path_groups = self._shard_groups()
         # Pipelined batches queue here; one scheduler task merges every
         # batch waiting at wave-start into a single decision wave.
         self._wave_queue: list[tuple[list, asyncio.Future]] = []
@@ -692,77 +686,48 @@ class ClusterRouter:
 
     # --------------------------------------------------------------- routing
 
-    def _groups(self, path: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Shard grouping of a path, cached — the candidate set is static."""
-        cached = self._path_groups.get(path)
-        if cached is None:
-            groups: dict[int, list[int]] = {}
-            link_shard = self._link_shard
-            for link in path:
-                groups.setdefault(link_shard[link], []).append(link)
-            cached = tuple(
-                (sid, tuple(links)) for sid, links in sorted(groups.items())
-            )
-            self._path_groups[path] = cached
-        return cached
+    def _shard_groups(self) -> dict:
+        """Every route-table path's links grouped by shard, built once.
 
-    def _compile_candidates(self) -> dict:
-        """Bake every O-D pair's candidate chains once, shard groups included.
-
-        A chain entry is ``(path, kind, tier, groups)`` — everything the
-        admission loops need per attempt without per-request allocation.
+        Maps a path to ``((shard, links), ...)`` in shard order — all an
+        admission attempt needs besides the path itself.
         """
-        def chain(primary, alternates):
-            path = tuple(primary)
-            entries = [(path, PRIMARY_KIND, "primary", self._groups(path))]
-            for alt in alternates:
-                alt = tuple(alt)
-                entries.append((alt, len(alt), "alternate", self._groups(alt)))
-            return tuple(entries)
+        shard = {link: sid for sid, links in enumerate(self.partitions) for link in links}
+        grouped: dict[tuple[int, ...], tuple] = {}
+        for candidates, __ in self._state.routes.view.values():
+            for primary, alternates in candidates:
+                for path in (primary, *alternates):
+                    grouped[path] = tuple(
+                        (sid, tuple(link for link in path if shard[link] == sid))
+                        for sid in sorted({shard[link] for link in path})
+                    )
+        return grouped
 
-        compiled: dict = {}
-        for od, entry in self._routes.items():
-            if entry[0] == "single":
-                compiled[od] = ("single", chain(entry[1], entry[2]))
-            else:
-                compiled[od] = (
-                    "multi",
-                    [chain(p, alts) for p, alts in entry[1]],
-                    entry[2],
-                )
-        return compiled
-
-    def _candidates_for(self, od, uniform: float):
-        """The request's candidate chain, or ``None`` for no route.
-
-        The bifurcation pick mirrors :meth:`RequestEngine.decide_batch`
-        exactly — ordered-mode bit-equivalence depends on it.
-        """
-        entry = self._candidates.get(od)
+    def _paths(self, request: AdmitRequest) -> tuple | None:
+        """The picked candidate's paths in trial order; ``None``: no route."""
+        entry = self._state.routes.view.get(request.od)
         if entry is None:
             return None
-        if entry[0] == "single":
-            return entry[1]
-        chains, cum = entry[1], entry[2]
-        pick = 0
-        while pick < len(cum) - 1 and uniform >= cum[pick]:
-            pick += 1
-        return chains[pick]
+        candidates, cum = entry
+        primary, alternates = candidates[RouteTable.pick(cum, request.uniform)]
+        return (primary, *alternates)
 
     async def _admit(self, request: AdmitRequest) -> Decision:
         if request.id in self.journal.held:
             self._m_errors.inc()
             return Decision(request.id, False, None, "none", "duplicate-call")
-        candidates = self._candidates_for(request.od, request.uniform)
-        if candidates is None:
+        paths = self._paths(request)
+        if paths is None:
             self._m_rejected["no-route"].inc()
             return Decision(request.id, False, None, "none", "no-route")
         width = request.width
         crankback = self.config.crankback
         skipped_down = 0
         reroutes = 0
-        for index, (path, kind, tier, groups) in enumerate(candidates):
-            if tier == "alternate":
+        for index, path in enumerate(paths):
+            groups = self._path_groups[path]
+            tier, kind = ("alternate", len(path)) if index else ("primary", PRIMARY_KIND)
+            if index:
                 reroutes += 1
                 if crankback.exhausted(reroutes):
                     break
@@ -784,7 +749,7 @@ class ClusterRouter:
                 return Decision(request.id, True, path, tier, None)
             if verdict == "down":
                 skipped_down += 1
-            elif tier == "alternate" or len(candidates) == 1:
+            elif index or len(paths) == 1:
                 self._m_crankbacks.inc()
         reason = "shard-down" if skipped_down else "blocked"
         self._m_rejected[reason].inc()
@@ -858,7 +823,7 @@ class ClusterRouter:
         path, width, __ = entry
         rid = _release_id(request.id)
         calls = []
-        for sid, links in self._groups(path):
+        for sid, links in self._path_groups[path]:
             if sid in self._down:
                 # The journal already forgot the call, so the restarted
                 # worker's resync lands on the post-release occupancy.
@@ -1052,7 +1017,7 @@ class ClusterRouter:
                 continue
             path, width, __ = entry
             rid = _release_id(request.id)
-            for sid, links in self._groups(path):
+            for sid, links in self._path_groups[path]:
                 if sid in self._down:
                     continue  # journal already forgot it; resync heals
                 by_shard.setdefault(sid, []).append(("release", rid, links, width))
@@ -1075,21 +1040,22 @@ class ClusterRouter:
         crankback = self.config.crankback
         journal = self.journal
         down = self._down
+        path_groups = self._path_groups
         cleanup: list[asyncio.Future] = []
         tallies = {
             "primary": 0, "alternate": 0, "blocked": 0, "shard-down": 0,
             "no-route": 0, "fastpath": 0, "twophase": 0, "crankbacks": 0,
         }
         # One mutable record per undecided admission:
-        # [index, request, candidates, position, reroutes, skipped_down].
+        # [index, request, paths, position, reroutes, skipped_down].
         active: list[list] = []
         for i, request in admits:
-            candidates = self._candidates_for(request.od, request.uniform)
-            if candidates is None:
+            paths = self._paths(request)
+            if paths is None:
                 tallies["no-route"] += 1
                 decisions[i] = Decision(request.id, False, None, "none", "no-route")
                 continue
-            active.append([i, request, candidates, 0, 0, 0])
+            active.append([i, request, paths, 0, 0, 0])
 
         def finalize(item: list) -> None:
             reason = "shard-down" if item[5] else "blocked"
@@ -1099,14 +1065,15 @@ class ClusterRouter:
         while active:
             plan: list[tuple[list, tuple, int, str, tuple, dict, int | str]] = []
             for item in active:
-                candidates = item[2]
+                paths = item[2]
                 groups = None
-                while item[3] < len(candidates):
-                    path, kind, tier, groups = candidates[item[3]]
-                    if tier == "alternate":
+                while item[3] < len(paths):
+                    path = paths[item[3]]
+                    groups = path_groups[path]
+                    if item[3]:
                         item[4] += 1
                         if crankback.exhausted(item[4]):
-                            item[3] = len(candidates)
+                            item[3] = len(paths)
                             break
                     if down and any(sid in down for sid, __ in groups):
                         item[5] += 1
@@ -1114,9 +1081,11 @@ class ClusterRouter:
                         groups = None
                         continue
                     break
-                if item[3] >= len(candidates) or groups is None:
+                if item[3] >= len(paths) or groups is None:
                     finalize(item)
                     continue
+                tier, kind = (
+                    ("alternate", len(path)) if item[3] else ("primary", PRIMARY_KIND))
                 rid = _reservation_id(item[1].id, item[3])
                 plan.append((item, path, kind, tier, groups, {}, rid))
             if not plan:
@@ -1279,12 +1248,10 @@ def _decode_request(item: list) -> AdmitRequest | ReleaseRequest:
         raise TypeError("request ids must be integers or strings")
     if item[0] == "admit":
         __, rid, od, uniform, when, width = item
-        return AdmitRequest(
-            id=rid, od=(int(od[0]), int(od[1])), uniform=float(uniform),
-            time=None if when is None else float(when), width=int(width),
-        )
+        return wire_request("admit", rid, od, uniform, when, width)
     if item[0] == "release":
-        return ReleaseRequest(id=item[1], time=item[2])
+        __, rid, when = item
+        return wire_request("release", rid, when=when)
     raise ValueError(f"unknown request kind {item[0]!r}")
 
 

@@ -7,7 +7,9 @@ admission semantics (see :mod:`repro.sim.simulator`): a primary is
 admitted iff every link has ``width`` free circuits; otherwise alternates
 are tried in policy order and admitted iff every link stays within its
 alternate-admission threshold; bifurcated primaries are picked by the
-request's uniform variate against the policy's cumulative probabilities.
+request's uniform variate (:meth:`repro.sim.kernel.RouteTable.pick`).  The
+routes are the state's compiled :class:`~repro.sim.kernel.RouteTable`, the
+same table the admission kernel runs.
 That one-to-one correspondence is load-bearing: replaying an
 :class:`~repro.sim.trace.ArrivalTrace` through the engine must reproduce
 the simulator's per-call decisions bit for bit
@@ -30,11 +32,13 @@ Overload protection (:mod:`repro.serve.shed`) is consulted per query:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..routing.base import RoutingPolicy
+from ..sim.kernel import RouteTable
 from ..topology.graph import Network
 from .shed import MODES, OverloadControl
 from .state import NetworkState
@@ -46,8 +50,7 @@ __all__ = [
     "Decision",
     "BatchConfig",
     "RequestEngine",
-    "apply_alt_prefix",
-    "compile_routes",
+    "wire_request",
 ]
 
 #: Batch-size histogram bounds (powers of two up to the sane maximum).
@@ -106,53 +109,32 @@ class Decision:
         }
 
 
-def compile_routes(policy: RoutingPolicy) -> dict:
-    """Per-O-D dispatch entries from the policy's compiled choices.
+def wire_request(op, rid, od=None, uniform=0.0, when=None, width=1):
+    """An engine request from decoded wire fields, with their bounds checked.
 
-    Mirrors the simulator's precompilation: deterministic pairs carry a
-    bare ``("single", primary, alternates)`` entry, bifurcated pairs the
-    candidate list plus cumulative probabilities.  Shared by the
-    in-process engine and the cluster router so both planes route one
-    request identically.
+    Both socket front ends build requests here, ``op`` being ``"admit"``
+    or ``"release"``.  :class:`ValueError` unless ``od`` is two integers,
+    ``width`` (``w``) a positive integer and ``when`` (``t``) and
+    ``uniform`` (``u``) finite: a negative width would drive occupancy
+    below zero, an infinite time stall the window loops.
     """
-    routes: dict[tuple[int, int], tuple] = {}
-    for od, options in policy.choices.items():
-        if not options:
-            continue
-        if len(options) == 1:
-            routes[od] = ("single", options[0].primary, options[0].alternates)
-        else:
-            routes[od] = (
-                "multi",
-                [(c.primary, c.alternates) for c in options],
-                policy.cum_probs[od].tolist(),
-            )
-    return routes
-
-
-def apply_alt_prefix(
-    routes: dict, prefix: dict[tuple[int, int], int]
-) -> dict:
-    """Truncate each pair's alternate list to its controller-chosen prefix.
-
-    Entries absent from ``prefix`` keep their full alternate set; the
-    input dict is not mutated (the engine swaps the whole table so a
-    batch in flight keeps routing against a consistent snapshot).
-    """
-    out = dict(routes)
-    for od, keep in prefix.items():
-        entry = routes.get(od)
-        if entry is None:
-            continue
-        if entry[0] == "single":
-            out[od] = ("single", entry[1], entry[2][:keep])
-        else:
-            out[od] = (
-                "multi",
-                [(primary, alts[:keep]) for primary, alts in entry[1]],
-                entry[2],
-            )
-    return out
+    if when is not None:
+        when = float(when)
+        if not math.isfinite(when):
+            raise ValueError(f"t must be finite, got {when!r}")
+    if op == "release":
+        return ReleaseRequest(id=rid, time=when)
+    if not (isinstance(od, (list, tuple)) and len(od) == 2
+            and type(od[0]) is int and type(od[1]) is int):
+        raise ValueError(
+            f"od must be a [origin, destination] pair of integers, got {od!r}"
+        )
+    if type(width) is not int or width < 1:
+        raise ValueError(f"w must be a positive integer, got {width!r}")
+    uniform = float(uniform)
+    if not math.isfinite(uniform):
+        raise ValueError(f"u must be finite, got {uniform!r}")
+    return AdmitRequest(rid, (od[0], od[1]), uniform, when, width)
 
 
 @dataclass(frozen=True)
@@ -220,10 +202,6 @@ class RequestEngine:
         self.queue_depth = 0
         self.decisions_total = 0
         self._capacities = self.state.capacities.tolist()
-        self._routes = compile_routes(policy)
-        #: Untruncated route table; controller alternate-prefix proposals
-        #: are always applied against this, never compounded.
-        self._base_routes = self._routes
         #: Per-pair setup/block counts accumulated for the control loop
         #: (persist across batches; a batch may end mid-window).
         self._ctrl_arrivals: dict[tuple[int, int], int] = {}
@@ -306,7 +284,8 @@ class RequestEngine:
         epoch_before = state.policy_epoch
         capacities = self._capacities
         held = self.held
-        routes = self._routes
+        routes = state.routes.view
+        pick = RouteTable.pick
         control = self.overload
         clock = self.clock
         queue_depth = self.queue_depth
@@ -347,11 +326,7 @@ class RequestEngine:
                 ctrl_arrivals.clear()
                 ctrl_blocked.clear()
                 if step is not None and step.applied:
-                    if step.alt_prefix is not None:
-                        self._routes = apply_alt_prefix(
-                            self._base_routes, step.alt_prefix
-                        )
-                        routes = self._routes
+                    routes = state.routes.view
                     occupancy, rows = state.arrays()
                 next_ctrl = ctrl.next_step
             mode = "normal" if control is None else control.classify(now, queue_depth)
@@ -369,15 +344,9 @@ class RequestEngine:
                 append(Decision(request.id, False, None, "none", "no-route"))
                 rejected["no-route"] += 1
                 continue
-            if entry[0] == "single":
-                primary, alternates = entry[1], entry[2]
-            else:
-                options, cum = entry[1], entry[2]
-                u = request.uniform
-                pick = 0
-                while pick < len(cum) - 1 and u >= cum[pick]:
-                    pick += 1
-                primary, alternates = options[pick]
+            candidates, cum = entry
+            primary, alternates = candidates[
+                0 if len(cum) == 1 else pick(cum, request.uniform)]
             width = request.width
             if ctrl is not None:
                 od = request.od

@@ -37,31 +37,20 @@ import contextlib
 import json
 from typing import Sequence
 
-from .engine import AdmitRequest, Decision, ReleaseRequest, RequestEngine
+from .engine import AdmitRequest, Decision, ReleaseRequest, RequestEngine, wire_request
 
 __all__ = ["ServeServer", "parse_request"]
 
 
 def parse_request(message: dict) -> AdmitRequest | ReleaseRequest:
-    """Build an engine request from one decoded protocol object."""
+    """Build an engine request from one decoded protocol object (bounds checked)."""
     op = message.get("op")
-    if op == "admit":
-        od = message["od"]
-        if not isinstance(od, (list, tuple)) or len(od) != 2:
-            raise ValueError(f"od must be a [origin, destination] pair, got {od!r}")
-        return AdmitRequest(
-            id=message["id"],
-            od=(int(od[0]), int(od[1])),
-            uniform=float(message.get("u", 0.0)),
-            time=None if message.get("t") is None else float(message["t"]),
-            width=int(message.get("w", 1)),
-        )
-    if op == "release":
-        return ReleaseRequest(
-            id=message["id"],
-            time=None if message.get("t") is None else float(message["t"]),
-        )
-    raise ValueError(f"unknown op {op!r}")
+    if op not in ("admit", "release"):
+        raise ValueError(f"unknown op {op!r}")
+    return wire_request(
+        op, message["id"], message.get("od"), message.get("u", 0.0),
+        message.get("t"), message.get("w", 1),
+    )
 
 
 class _MicroBatcher:

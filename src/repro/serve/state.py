@@ -24,6 +24,7 @@ import numpy as np
 
 from ..routing.adaptive import AdaptationConfig, ThresholdUpdate
 from ..routing.base import RoutingPolicy, bound_table, policy_bounds
+from ..sim.kernel import route_table
 from ..topology.graph import Network
 
 __all__ = [
@@ -64,15 +65,16 @@ class PolicySwap:
 
 
 class NetworkState:
-    """Occupancies + admission bounds for one network under one policy.
+    """Occupancies, routes and admission bounds for one network and policy.
 
     ``occupancy`` is the authoritative per-link circuit count
     (``np.int64``); :meth:`admit` and :meth:`release` book and free one
-    path in O(path length).  ``bounds`` is the read-only admission-bound
-    table (see :func:`repro.routing.base.bound_table`): row ``h`` bounds
-    alternates of ``h`` hops, and under the ``threshold`` discipline every
-    row is the same ``C - r`` vector.  :meth:`hot_swap` and adaptation
-    replace the whole table, never edit it in place.
+    path in O(path length).  ``routes`` is the compiled
+    :class:`~repro.sim.kernel.RouteTable`; ``bounds`` the read-only
+    admission-bound table (see :func:`repro.routing.base.bound_table`):
+    row ``h`` bounds alternates of ``h`` hops, and under the ``threshold``
+    discipline every row is the same ``C - r`` vector.  Swaps, adaptation
+    and control steps replace whole tables, never edit them in place.
 
     The request engine's batch loop works on list snapshots of these
     arrays and writes occupancy back per batch (:meth:`arrays` /
@@ -97,12 +99,10 @@ class NetworkState:
         self.policy = policy
         self.capacities = network.capacities().astype(np.int64)
         self.occupancy = np.zeros(network.num_links, dtype=np.int64)
-        hops = [
-            len(alt)
-            for options in policy.choices.values()
-            for choice in options
-            for alt in choice.alternates
-        ]
+        #: The kernel's cached table over every O-D pair of the network; a
+        #: control step may install a truncated copy.
+        self.routes = route_table(policy, network.node_pairs())
+        hops = self.routes.alternate_hops
         self.bounds = policy_bounds(policy, max(hops, default=1))
         #: Row of :attr:`alt_thresholds`: the shortest alternate's, i.e. the
         #: laxest bound in force.

@@ -12,7 +12,9 @@ then runs its general loop instead and records ``backend="reference"``.
 
 A policy is compiled into a :class:`RouteTable` — flat CSR arrays of
 per-pair candidates, cumulative split probabilities and path links — once
-per ``(policy, O-D pair list)`` and reused for every trace.  Thresholds are
+per ``(policy, O-D pair list)`` and reused for every trace; the serving
+engine, the cluster router and the control plane read the same table
+through its decoded :attr:`RouteTable.view`.  Thresholds are
 read afresh per run (:func:`threshold_rows`), one block of int32 rows per
 schedule segment (:func:`bound_segments`, which the reference loop steps
 through too).  :func:`admit` checks the dtype, length and index range of
@@ -134,16 +136,20 @@ def load_kernel():
 class RouteTable:
     """One policy's per-pair route choices as flat, read-only CSR arrays.
 
-    Candidates ``pair_off[p]:pair_off[p+1]`` belong to O-D pair ``p``;
-    ``cand_cum[c]`` is candidate ``c``'s cumulative split probability;
-    paths ``cand_path_off[c]:cand_path_off[c+1]`` are its primary followed
-    by its alternates in trial order; ``links[path_link_off[q]:
-    path_link_off[q+1]]`` are path ``q``'s links.  Construction checks
-    every invariant the C loop relies on, makes the arrays read-only and
-    derives ``max_path_len`` and ``bifurcated`` (some pair has several
-    candidates, so calls consult their uniform variate).
+    The one compiled route artefact: the kernel reads the arrays, the
+    serving planes the decoded :attr:`view`.  Pair ``p`` is ``od_pairs[p]``; its candidates are
+    ``pair_off[p]:pair_off[p+1]``; ``cand_cum[c]`` is candidate ``c``'s
+    cumulative split probability; paths ``cand_path_off[c]:
+    cand_path_off[c+1]`` are its primary followed by its alternates in
+    trial order; ``links[path_link_off[q]:path_link_off[q+1]]`` are path
+    ``q``'s links.  Construction checks every invariant the C loop relies
+    on, makes the arrays read-only and derives ``max_path_len``,
+    ``bifurcated`` (some pair has several candidates, so calls consult
+    their uniform variate) and ``alternate_hops`` (the distinct hop counts
+    of the alternates, ascending).
     """
 
+    od_pairs: tuple[tuple[int, int], ...]
     num_links: int
     pair_off: np.ndarray
     cand_cum: np.ndarray
@@ -152,6 +158,7 @@ class RouteTable:
     links: np.ndarray
     max_path_len: int = field(init=False)
     bifurcated: bool = field(init=False)
+    alternate_hops: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         for array, dtype in ((self.pair_off, np.int64), (self.cand_cum, np.float64),
@@ -162,6 +169,8 @@ class RouteTable:
                                  "of the documented dtypes")
         num_cands = self.cand_cum.size
         num_paths = self.path_link_off.size - 1
+        if self.pair_off.size != len(self.od_pairs) + 1:
+            raise ValueError("pair_off needs one entry per O-D pair, plus one")
         if self.cand_path_off.size != num_cands + 1:
             raise ValueError("cand_path_off needs one entry per candidate, plus one")
         _offsets(self.pair_off, num_cands, "pair_off", strict=False)
@@ -170,13 +179,62 @@ class RouteTable:
         if num_paths > _INT32_MAX:
             raise ValueError("route table has more paths than int32 can index")
         _in_range(self.links, self.num_links, "route links")
-        object.__setattr__(
-            self, "max_path_len", int(np.diff(self.path_link_off).max(initial=0))
-        )
+        lengths = np.diff(self.path_link_off)
+        # Alternates per hop count: every path's count minus the primaries'.
+        per_hop = np.bincount(lengths)
+        primaries = lengths[self.cand_path_off[:-1]]
+        per_hop -= np.bincount(primaries, minlength=per_hop.size)
+        object.__setattr__(self, "max_path_len", int(lengths.max(initial=0)))
         object.__setattr__(self, "bifurcated", bool((np.diff(self.pair_off) > 1).any()))
+        object.__setattr__(self, "alternate_hops", tuple(np.flatnonzero(per_hop).tolist()))
         for array in (self.pair_off, self.cand_cum, self.cand_path_off,
                       self.path_link_off, self.links):
             array.flags.writeable = False
+
+    @functools.cached_property
+    def view(self) -> dict:
+        """``{od: (candidates, cum)}`` for every routed pair, read-only.
+
+        ``candidates`` holds one ``(primary, alternates)`` pair of link
+        tuples per candidate, ``cum`` their cumulative split probabilities.
+        Decoded from the arrays on first use.
+        """
+        paths = _split(self.links.tolist(), self.path_link_off)
+        chains = _split(paths, self.cand_path_off)
+        candidates = _split([(c[0], c[1:]) for c in chains], self.pair_off)
+        cums = _split(self.cand_cum.tolist(), self.pair_off)
+        return {od: (options, cum) for od, options, cum
+                in zip(self.od_pairs, candidates, cums) if options}
+
+    @staticmethod
+    def pick(cum, uniform: float) -> int:
+        """The candidate a call's uniform variate picks from ``cum``.
+
+        The first candidate whose cumulative probability exceeds the
+        variate, else the last.  This is the bifurcated rule; the C loop
+        and :func:`repro.routing.adaptive.primary_setups` mirror it.
+        """
+        last = len(cum) - 1
+        index = 0
+        while index < last and uniform >= cum[index]:
+            index += 1
+        return index
+
+    def truncate(self, alt_prefix: Mapping) -> "RouteTable":
+        """A new table whose named pairs keep only their first alternates.
+
+        ``alt_prefix[od]`` is how many alternates each candidate of ``od``
+        keeps; other pairs keep all of theirs, and pairs the table does not
+        route are ignored.
+        """
+        if any(keep < 0 for keep in alt_prefix.values()):
+            raise ValueError("alternate prefixes must be non-negative")
+        view = self.view
+        return _pack(self.od_pairs, self.num_links, [
+            [(primary, alternates[:alt_prefix.get(od)])
+             for primary, alternates in view[od][0]] if od in view else []
+            for od in self.od_pairs
+        ], self.cand_cum)
 
 
 _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -185,60 +243,63 @@ _TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 def route_table(policy, od_pairs) -> RouteTable:
     """The policy's :class:`RouteTable` over ``od_pairs`` (compiled once).
 
-    Policies are treated as immutable once simulated: the table is cached
-    per policy object and rebuilt only for a different O-D pair list.
+    Policies are treated as immutable once compiled: tables are cached per
+    policy object and per O-D pair list, so a simulator (the trace's
+    pairs) and a serving plane (the network's pairs) share the cache
+    without evicting each other.
     """
     od_pairs = tuple(od_pairs)
-    cached = _TABLES.get(policy)
-    if cached is not None and cached[0] == od_pairs:
-        return cached[1]
-    table = _compile_table(policy, od_pairs)
-    _TABLES[policy] = (od_pairs, table)
+    tables = _TABLES.setdefault(policy, {})
+    table = tables.get(od_pairs)
+    if table is None:
+        table = tables[od_pairs] = _compile_table(policy, od_pairs)
     return table
 
 
 def _compile_table(policy, od_pairs) -> RouteTable:
-    num_links = policy.network.num_links
     options = [policy.choices.get(od, ()) for od in od_pairs]
-    counts = np.fromiter(map(len, options), dtype=np.int64, count=len(options))
-    pair_off = np.zeros(len(options) + 1, dtype=np.int64)
-    np.cumsum(counts, out=pair_off[1:])
-    candidates = list(chain.from_iterable(options))
-    cum_parts = [
-        policy.cum_probs[od] if len(opts) > 1 else np.zeros(len(opts))
+    cand_cum = np.concatenate([np.zeros(0), *(
+        policy.cum_probs[od] if len(opts) > 1 else np.ones(len(opts))
         for od, opts in zip(od_pairs, options)
-    ]
-    cand_cum = (
-        np.concatenate(cum_parts).astype(np.float64)
-        if cum_parts else np.zeros(0, dtype=np.float64)
-    )
-    per_cand = np.fromiter(
-        (1 + len(c.alternates) for c in candidates),
-        dtype=np.int64, count=len(candidates),
-    )
-    cand_path_off = np.zeros(len(candidates) + 1, dtype=np.int64)
-    np.cumsum(per_cand, out=cand_path_off[1:])
-    num_paths = int(cand_path_off[-1])
+    )])
+    return _pack(od_pairs, policy.network.num_links, [
+        [(choice.primary, choice.alternates) for choice in opts] for opts in options
+    ], cand_cum)
 
-    def paths():
-        for choice in candidates:
-            yield choice.primary
-            yield from choice.alternates
 
-    lengths = np.fromiter(map(len, paths()), dtype=np.int64, count=num_paths)
-    path_link_off = np.zeros(num_paths + 1, dtype=np.int64)
-    np.cumsum(lengths, out=path_link_off[1:])
-    links = np.fromiter(
-        chain.from_iterable(paths()), dtype=np.int32, count=int(path_link_off[-1])
-    )
+def _pack(od_pairs, num_links: int, candidates, cand_cum) -> RouteTable:
+    """A table from per-pair lists of ``(primary, alternates)`` candidates."""
+    flat = list(chain.from_iterable(candidates))
+    cand_path_off = _sizes_to_offsets(1 + len(alts) for __, alts in flat)
+
+    def paths():  # streamed twice: a large mesh has millions of links
+        for primary, alternates in flat:
+            yield primary
+            yield from alternates
+
+    path_link_off = _sizes_to_offsets(map(len, paths()), int(cand_path_off[-1]))
     return RouteTable(
+        od_pairs=tuple(od_pairs),
         num_links=num_links,
-        pair_off=pair_off,
-        cand_cum=cand_cum,
+        pair_off=_sizes_to_offsets(map(len, candidates)),
+        cand_cum=np.asarray(cand_cum, dtype=np.float64),
         cand_path_off=cand_path_off,
         path_link_off=path_link_off,
-        links=links,
+        links=np.fromiter(chain.from_iterable(paths()), dtype=np.int32,
+                          count=int(path_link_off[-1])),
     )
+
+
+def _split(items: list, offsets: np.ndarray) -> list[tuple]:
+    bounds = offsets.tolist()
+    return [tuple(items[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _sizes_to_offsets(sizes, count: int = -1) -> np.ndarray:
+    sizes = np.fromiter(sizes, dtype=np.int64, count=count)
+    offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
 
 
 def _offsets(offsets: np.ndarray, end: int, name: str, strict: bool) -> None:

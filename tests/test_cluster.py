@@ -121,11 +121,10 @@ class TestPureLogic:
             quad_network, cluster_policy, ClusterConfig(num_shards=3)
         )
         multi = 0
-        for od, choices in cluster_policy.choices.items():
-            for k in range(len(choices)):
-                uniform = (k + 0.5) / len(choices)
-                candidates = router._candidates_for(od, uniform)
-                for __, ___, ____, groups in candidates:
+        for candidates, __ in router._state.routes.view.values():
+            for primary, alternates in candidates:
+                for path in (primary, *alternates):
+                    groups = router._path_groups[path]
                     assert len(groups) >= 1
                     multi += len(groups) > 1
         assert multi > 0

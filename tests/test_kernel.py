@@ -23,7 +23,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.runner import ReplicationConfig, run_replications_detailed
-from repro.routing.base import RoutingPolicy, compile_route_choices
+from repro.routing.adaptive import primary_setups
+from repro.routing.base import RouteChoice, RoutingPolicy, compile_route_choices
+from repro.serve.cluster import ClusterConfig, ClusterRouter
 from repro.serve.engine import RequestEngine
 from repro.serve.loadgen import aggregate_decisions, trace_requests
 from repro.serve.state import NetworkState
@@ -34,7 +36,7 @@ from repro.sim.simulator import simulate
 from repro.sim.trace import ArrivalTrace, generate_trace
 from repro.topology.generators import fully_connected, random_mesh
 from repro.topology.paths import build_path_table
-from repro.traffic.generators import random_traffic
+from repro.traffic.generators import random_traffic, uniform_traffic
 
 _COUNTERS = ("offered", "blocked", "primary_carried", "alternate_carried")
 
@@ -284,6 +286,112 @@ class TestWrapperChecks:
         assert kernel.route_table(policy, trace.od_pairs) is routes
         with pytest.raises(ValueError):
             routes.links[0] = 0
+
+
+class TestOneRouteTable:
+    """The kernel's table is the one route artefact every plane reads."""
+
+    def test_engine_router_kernel_and_setup_counter_share_one_table(
+        self, monkeypatch
+    ):
+        network = fully_connected(4, capacity=3)
+        table = build_path_table(network)
+        choices, cum_probs = compile_route_choices(network, table, True)
+        policy = RoutingPolicy(network, choices, cum_probs)
+        policy.alt_thresholds = network.capacities() - 1
+        trace = generate_trace(uniform_traffic(4, 2.0), 6.0, 3)
+        assert trace.od_pairs == tuple(network.node_pairs())
+        compiled = []
+        compile_table = kernel._compile_table
+        monkeypatch.setattr(
+            kernel, "_compile_table",
+            lambda *args: compiled.append(args) or compile_table(*args),
+        )
+        assert simulate(network, policy, trace, 1.0).backend == "compiled"
+        routes = kernel.route_table(policy, trace.od_pairs)
+        engine = RequestEngine(network, policy)
+        router = ClusterRouter(network, policy, ClusterConfig(num_shards=2))
+        primary_setups(policy, trace, [3.0])
+        assert engine.state.routes is routes
+        assert router._state.routes is routes
+        assert len(compiled) == 1
+
+    def test_tables_are_cached_per_pair_list(self):
+        # A simulator on a trace over some pairs and an engine over all of
+        # them must not evict each other's table.
+        network, policy, __ = TestWrapperChecks()._setup()
+        pairs = tuple(network.node_pairs())
+        by_trace = kernel.route_table(policy, pairs[::2])
+        by_network = kernel.route_table(policy, pairs)
+        assert by_network is not by_trace
+        assert kernel.route_table(policy, pairs[::2]) is by_trace
+        assert kernel.route_table(policy, pairs) is by_network
+
+    def test_view_decodes_the_policy(self):
+        network, policy, __ = TestWrapperChecks()._setup()
+        routes = kernel.route_table(policy, network.node_pairs())
+        assert routes.od_pairs == tuple(network.node_pairs())
+        assert set(routes.view) == {od for od, opts in policy.choices.items() if opts}
+        hops = set()
+        for od, (candidates, cum) in routes.view.items():
+            options = policy.choices[od]
+            assert candidates == tuple((c.primary, c.alternates) for c in options)
+            if len(options) > 1:
+                assert cum == tuple(policy.cum_probs[od])
+            hops.update(len(alt) for c in options for alt in c.alternates)
+        assert routes.alternate_hops == tuple(sorted(hops))
+
+    def test_pick_is_the_first_cumulative_probability_above_the_uniform(self):
+        cum = (0.25, 0.25, 0.75, 1.0)
+        assert [kernel.RouteTable.pick(cum, u) for u in (0.0, 0.25, 0.5, 0.75, 1.0)] \
+            == [0, 2, 2, 3, 3]
+        assert kernel.RouteTable.pick((1.0,), 5.0) == 0
+
+    def test_truncate_cuts_named_pairs_and_leaves_the_table(self):
+        network, policy, __ = TestWrapperChecks()._setup()
+        routes = kernel.route_table(policy, network.node_pairs())
+        before = {name: getattr(routes, name).copy() for name in
+                  ("cand_path_off", "path_link_off", "links")}
+        od = max(routes.view, key=lambda od: len(routes.view[od][0][0][1]))
+        cut = routes.truncate({od: 1, (99, 98): 0})
+        assert cut is not routes and cut.od_pairs == routes.od_pairs
+        for name, array in before.items():
+            assert np.array_equal(getattr(routes, name), array)
+        for pair, (candidates, cum) in routes.view.items():
+            keep = 1 if pair == od else None
+            assert cut.view[pair] == (
+                tuple((p, alts[:keep]) for p, alts in candidates), cum
+            )
+        assert routes.truncate({}).view == routes.view
+        with pytest.raises(ValueError, match="negative"):
+            routes.truncate({od: -1})
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=cases(), data=st.data())
+    def test_truncated_table_matches_a_policy_with_cut_alternates(self, case, data):
+        policy, trace = case.policy, case.trace
+        state = NetworkState(case.network, policy)
+        pairs = sorted(state.routes.view)
+        prefix = data.draw(st.dictionaries(
+            st.sampled_from(pairs), st.integers(0, 4)
+        )) if pairs else {}
+        state.routes = state.routes.truncate(prefix)
+        engine = RequestEngine(case.network, policy, state=state)
+        oracle = aggregate_decisions(
+            trace, engine.decide_batch(trace_requests(trace)), warmup=case.warmup
+        )
+        cut = RoutingPolicy(case.network, {
+            od: [RouteChoice(c.primary, c.alternates[:prefix.get(od)])
+                 for c in options]
+            for od, options in policy.choices.items()
+        }, policy.cum_probs)
+        cut.discipline = policy.discipline
+        cut.alt_thresholds = policy.alt_thresholds
+        cut.length_thresholds = getattr(policy, "length_thresholds", None)
+        reference = simulate(case.network, cut, trace, case.warmup,
+                             backend="reference")
+        _assert_same(reference, oracle, f"truncated {policy.discipline}")
 
 
 @contextlib.contextmanager

@@ -90,6 +90,16 @@ class TestRoutingPolicyBase:
                 {(0, 1): np.array([0.5])},  # does not end at 1
             )
 
+    @pytest.mark.parametrize("cum", [[0.6, 0.3, 1.0], [-0.1, 0.5, 1.0], [0.2, np.nan, 1.0]])
+    def test_cumulative_probabilities_must_be_monotone_in_unit_range(
+        self, quad_network, cum
+    ):
+        # [0.6, 0.3, 1.0] with u = 0.4: searchsorted would pick candidate 2
+        # while the engines' linear scan picks candidate 0.
+        choices = [RouteChoice(primary=(link,), alternates=()) for link in range(3)]
+        with pytest.raises(ValueError, match="nondecreasing"):
+            RoutingPolicy(quad_network, {(0, 1): choices}, {(0, 1): np.array(cum)})
+
     def test_describe(self, quad_network, quad_table):
         assert SinglePathRouting(quad_network, quad_table).describe() == "single-path"
 

@@ -232,8 +232,9 @@ class TestOverloadControl:
         )
         engine = RequestEngine(quad_network, quad_policy, overload=control)
         full_od, open_od = (0, 1), (2, 3)
-        kind, primary, __ = engine._routes[full_od]
-        assert kind == "single"
+        candidates, __ = engine.state.routes.view[full_od]
+        assert len(candidates) == 1
+        primary, __ = candidates[0]
         engine.state.admit(primary, width=100)  # primary at capacity
         # Sanity: an unthrottled engine routes the same call on an alternate.
         reference = RequestEngine(quad_network, quad_policy)
@@ -491,6 +492,46 @@ class TestServerAbuseBounds:
 
         asyncio.run(run())
 
+    def test_out_of_bound_fields_are_refused(self, quad_network, quad_policy):
+        # A negative width would drive occupancy below zero (and let later
+        # calls overbook the link); an infinite time would never leave the
+        # adaptation and control window loops.
+        od = list(next(iter(quad_policy.choices)))
+        bad = [
+            ({"w": -50}, "w must be a positive integer"),
+            ({"w": 0}, "w must be a positive integer"),
+            ({"w": 1.5}, "w must be a positive integer"),
+            ({"w": True}, "w must be a positive integer"),
+            ({"t": float("inf")}, "t must be finite"),
+            ({"t": float("nan")}, "t must be finite"),
+            ({"u": float("-inf")}, "u must be finite"),
+            ({"od": [float("inf"), 1]}, "pair of integers"),
+        ]
+
+        async def run():
+            engine = RequestEngine(quad_network, quad_policy)
+            async with ServeServer(engine) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                lines = [
+                    {"op": "admit", "id": k, "od": od, **fields}
+                    for k, (fields, __) in enumerate(bad)
+                ] + [{"op": "release", "id": 0, "t": float("inf")}]
+                writer.write(b"".join(json.dumps(m).encode() + b"\n" for m in lines))
+                await writer.drain()
+                answers = [json.loads(await reader.readline()) for __ in lines]
+                for answer, (fields, message) in zip(answers, bad):
+                    assert message in answer["error"], fields
+                assert "t must be finite" in answers[-1]["error"]
+                assert [a["id"] for a in answers] == [m["id"] for m in lines]
+                writer.close()
+                assert engine.decisions_total == 0
+                await self._served(server, od, call_id=1)
+                assert engine.state.occupancy.min() >= 0
+
+        asyncio.run(run())
+
     def test_request_mid_drain_is_refused_but_backlog_flushes(
         self, quad_network, quad_policy
     ):
@@ -641,6 +682,33 @@ class TestClusterServerAbuseBounds:
                 reply, at_eof = await self._send(server, payload)
                 assert reply["error"].startswith("malformed frame"), payload
                 assert at_eof
+            await self._served(server, od, call_id=1)
+
+        self._run(quad_network, quad_policy, body)
+
+    def test_out_of_bound_fields_are_answered_not_fatal(
+        self, quad_network, quad_policy
+    ):
+        async def body(server, od):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            for item, message in (
+                (["admit", 1, list(od), 0.0, 0.0, -50], "w must be"),
+                (["admit", 2, list(od), 0.0, 0.0, 0], "w must be"),
+                (["admit", 3, list(od), 0.0, float("inf"), 1], "t must be finite"),
+                (["admit", 4, list(od), float("nan"), 0.0, 1], "u must be finite"),
+                (["release", 5, float("inf")], "t must be finite"),
+            ):
+                writer.write(_frame({"op": "batch", "requests": [item]}))
+                await writer.drain()
+                header = await reader.readexactly(_HEADER.size)
+                reply = json.loads(
+                    await reader.readexactly(_HEADER.unpack(header)[0])
+                )
+                assert reply["error"].startswith("malformed batch"), item
+                assert message in reply["error"], item
+            writer.close()
             await self._served(server, od, call_id=1)
 
         self._run(quad_network, quad_policy, body)

@@ -86,13 +86,11 @@ def build_workload():
 
 def touches_shard(probe: ClusterRouter, request: AdmitRequest, shard: int) -> bool:
     """Whether any of the request's candidate routes lands on ``shard``."""
-    candidates = probe._candidates_for(request.od, request.uniform)
-    if candidates is None:
+    paths = probe._paths(request)  # the picked candidate of state.routes
+    if paths is None:
         return False
     return any(
-        sid == shard
-        for __, ___, ____, groups in candidates
-        for sid, _____ in groups
+        sid == shard for path in paths for sid, __ in probe._path_groups[path]
     )
 
 
