@@ -77,16 +77,13 @@ def _resolve_routes(
     network: Network, table: PathTable, traffic: TrafficMatrix
 ) -> list[tuple[tuple[int, int], float, tuple[int, ...], list[tuple[int, ...]]]]:
     """Resolve each positive-demand pair's primary and alternates to links."""
+    table.check_current(network)
     demands = []
     for od, demand in traffic.positive_pairs():
-        primary = table.primary.get(od)
-        if primary is None:
+        if od not in table.primary_links:
             raise ValueError(f"O-D pair {od} has demand but no primary path")
-        primary_links = network.path_links(primary)
-        alternate_links = [
-            network.path_links(path) for path in table.alternates.get(od, ())
-        ]
-        demands.append((od, demand, primary_links, alternate_links))
+        demands.append((od, demand, table.primary_links[od],
+                        list(table.alternate_links[od])))
     return demands
 
 

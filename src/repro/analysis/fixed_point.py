@@ -65,19 +65,21 @@ def _primary_paths(
 ) -> tuple[list[tuple[tuple[int, int], float]], list[tuple[int, ...]]]:
     """Resolve each positive-demand pair's primary path to link indices."""
     demands = list(traffic.positive_pairs())
-    paths = []
-    for od, __ in demands:
-        primary = table.primary.get(od)
-        if primary is None:
-            raise ValueError(f"O-D pair {od} has demand but no primary path")
-        paths.append(network.path_links(primary))
-    return demands, paths
+    return demands, _primary_links(network, table, [od for od, __ in demands])
+
+
+def _primary_links(network: Network, table: PathTable, ods) -> list[tuple[int, ...]]:
+    table.check_current(network, alternates=False)
+    missing = [od for od in ods if od not in table.primary_links]
+    if missing:
+        raise ValueError(f"O-D pair {missing[0]} has demand but no primary path")
+    return [table.primary_links[od] for od in ods]
 
 
 # (network, table) -> (weakrefs, od order, flattened link-index arrays).  Load
 # sweeps call the fixed point with fresh (scaled) traffic but the same network
-# and path table; resolving every primary path to link indices costs more than
-# a converged sweep once the numerics are vectorized, so the flattening is
+# and path table; flattening every primary path into link arrays costs more
+# than a converged sweep once the numerics are vectorized, so the flattening is
 # memoized.  Keys are object ids guarded by weakrefs (a dead referent, or an
 # od order that no longer matches the traffic, invalidates the entry).
 _FLATTEN_CACHE: dict[tuple[int, int], tuple] = {}
@@ -100,12 +102,7 @@ def _flatten_paths(
         net_ref, table_ref, cached_ods, arrays = cached
         if net_ref() is network and table_ref() is table and cached_ods == ods:
             return arrays
-    paths = []
-    for od in ods:
-        primary = table.primary.get(od)
-        if primary is None:
-            raise ValueError(f"O-D pair {od} has demand but no primary path")
-        paths.append(network.path_links(primary))
+    paths = _primary_links(network, table, ods)
     lengths = np.array([len(p) for p in paths], dtype=np.int64)
     flat_links = np.array(
         [link for path in paths for link in path], dtype=np.int64

@@ -199,19 +199,26 @@ class Scenario:
         """The same scenario under a different routing policy."""
         return replace(self, policy=name)
 
+    @cached_property
+    def _workloads(self) -> dict[float, Workload | None]:
+        return {}
+
     def resolved_workload(self, horizon: float) -> Workload | None:
         """The concrete :class:`Workload`, or ``None`` for stationary demand.
 
         Spec strings are built against this scenario's network and traffic
         over ``[0, horizon)`` — the same spec on the same scenario always
-        resolves to the same workload, so traces stay replayable.
+        resolves to the same workload, so traces stay replayable.  Built
+        once per horizon: a study's traces and policies share the build.
         """
         if self.workload is None:
             return None
-        return build_workload(
-            self.workload, network=self.network, table=self.path_table,
-            traffic=self.traffic_matrix, horizon=horizon,
-        )
+        if horizon not in self._workloads:
+            self._workloads[horizon] = build_workload(
+                self.workload, network=self.network, table=self.path_table,
+                traffic=self.traffic_matrix, horizon=horizon,
+            )
+        return self._workloads[horizon]
 
     def make_trace(self, duration: float, seed: int) -> ArrivalTrace:
         """An arrival trace honouring the scenario's workload (if any).

@@ -45,14 +45,14 @@ def per_link_max_hops(network: Network, table: PathTable) -> np.ndarray:
     alternates then protect less.  Links on no alternate path get 1 (their
     level is irrelevant; no alternate call ever asks).
     """
-    hops = np.ones(network.num_links, dtype=np.int64)
-    for od in table.od_pairs():
-        for path in table.alternates.get(od, ()):
-            length = len(path) - 1
-            for link_index in network.path_links(path):
-                if length > hops[link_index]:
-                    hops[link_index] = length
-    return hops
+    table.check_current(network)
+    hops = [1] * network.num_links
+    for alternates in table.alternate_links.values():
+        for links in alternates:
+            for link_index in links:
+                if len(links) > hops[link_index]:
+                    hops[link_index] = len(links)
+    return np.array(hops, dtype=np.int64)
 
 
 class UncontrolledAlternateRouting(RoutingPolicy):

@@ -128,36 +128,40 @@ def compile_route_choices(
     ``max_alternates`` caps the crankback depth: only the first that many
     alternates (shortest first) are ever attempted — the signaling cost
     knob real deployments tune, and the ``m`` of the bistability model.
+
+    Route choices reuse the table's link tuples; only split paths, which
+    need not come from the table, are resolved against ``network``.  A
+    table routing over a link failed since it was built raises
+    ``ValueError``.
     """
     if max_alternates is not None and max_alternates < 0:
         raise ValueError("max_alternates must be non-negative")
+    table.check_current(network, alternates=include_alternates)
     choices: dict[tuple[int, int], list[RouteChoice]] = {}
     cum_probs: dict[tuple[int, int], np.ndarray] = {}
     for od in table.od_pairs():
-        pool = table.routes(od)  # primary first, then alternates by length
-        ordered = sorted(pool, key=lambda p: (len(p), p))
         if splits is not None and od in splits:
             entries = [(tuple(path), prob) for path, prob in splits[od] if prob > 0]
             total = sum(prob for __, prob in entries)
             if not np.isclose(total, 1.0, atol=1e-6):
                 raise ValueError(f"split probabilities for {od} sum to {total}")
-            entries = [(path, prob / total) for path, prob in entries]
+            # The pair's whole pool, primary included, by (length, lex).
+            pool = sorted(zip(table.routes(od), table.route_links(od)),
+                          key=lambda entry: (len(entry[0]), entry[0])
+                          ) if include_alternates else ()
+            options = [
+                (network.path_links(path), prob / total,
+                 tuple(links for other, links in pool if other != path))
+                for path, prob in entries
+            ]
         else:
-            entries = [(table.primary[od], 1.0)]
+            options = [(table.primary_links[od], 1.0,
+                        table.alternate_links[od] if include_alternates else ())]
         od_choices: list[RouteChoice] = []
         probs: list[float] = []
-        for primary_path, prob in entries:
-            primary_links = network.path_links(primary_path)
-            if include_alternates:
-                alternates = tuple(
-                    network.path_links(path)
-                    for path in ordered
-                    if path != tuple(primary_path)
-                )
-                if max_alternates is not None:
-                    alternates = alternates[:max_alternates]
-            else:
-                alternates = ()
+        for primary_links, prob, alternates in options:
+            if max_alternates is not None:
+                alternates = alternates[:max_alternates]
             od_choices.append(RouteChoice(primary=primary_links, alternates=alternates))
             probs.append(prob)
         choices[od] = od_choices

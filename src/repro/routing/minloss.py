@@ -91,6 +91,7 @@ def optimize_primary_flows(
     is the whole path space.  ``gap_tolerance`` is relative to the total
     offered traffic.
     """
+    table.check_current(network)
     demands = list(traffic.positive_pairs())
     capacities = network.capacities()
     candidate_paths: list[list[Path]] = []
@@ -100,7 +101,7 @@ def optimize_primary_flows(
         if not pool:
             raise ValueError(f"O-D pair {od} has demand {demand} but no paths")
         candidate_paths.append(pool)
-        candidate_links.append([network.path_links(p) for p in pool])
+        candidate_links.append(list(table.route_links(od)))
 
     # Start from the all-on-primary flow.
     flows: list[np.ndarray] = [

@@ -112,9 +112,7 @@ def apply_failures(
     table = build_path_table(failed, max_hops=max_hops)
     loads = np.zeros(failed.num_links, dtype=float)
     for od, demand in traffic.positive_pairs():
-        path = table.primary.get(od)
-        if path is None:
-            continue  # disconnected pair: no primary load anywhere
-        for link_index in failed.path_links(path):
+        # A disconnected pair has no primary, so no load anywhere.
+        for link_index in table.primary_links.get(od, ()):
             loads[link_index] += demand
     return FailedNetwork(network=failed, table=table, primary_loads=loads, scenario=scenario)

@@ -271,13 +271,10 @@ def _pack(od_pairs, num_links: int, candidates, cand_cum) -> RouteTable:
     """A table from per-pair lists of ``(primary, alternates)`` candidates."""
     flat = list(chain.from_iterable(candidates))
     cand_path_off = _sizes_to_offsets(1 + len(alts) for __, alts in flat)
-
-    def paths():  # streamed twice: a large mesh has millions of links
-        for primary, alternates in flat:
-            yield primary
-            yield from alternates
-
-    path_link_off = _sizes_to_offsets(map(len, paths()), int(cand_path_off[-1]))
+    # References only: the tuples are the policy's (and its path table's).
+    paths = list(chain.from_iterable(
+        chain((primary,), alternates) for primary, alternates in flat))
+    path_link_off = _sizes_to_offsets(map(len, paths), len(paths))
     return RouteTable(
         od_pairs=tuple(od_pairs),
         num_links=num_links,
@@ -285,7 +282,7 @@ def _pack(od_pairs, num_links: int, candidates, cand_cum) -> RouteTable:
         cand_cum=np.asarray(cand_cum, dtype=np.float64),
         cand_path_off=cand_path_off,
         path_link_off=path_link_off,
-        links=np.fromiter(chain.from_iterable(paths()), dtype=np.int32,
+        links=np.fromiter(chain.from_iterable(paths), dtype=np.int32,
                           count=int(path_link_off[-1])),
     )
 

@@ -86,6 +86,7 @@ def calibrate_traffic(
     """
     if table is None:
         table = build_path_table(network)
+    table.check_current(network, alternates=False)
     od_pairs = table.od_pairs()
     links = network.links
     missing = [link.endpoints for link in links if link.endpoints not in target_loads]
@@ -93,8 +94,7 @@ def calibrate_traffic(
         raise ValueError(f"target loads missing for links: {missing}")
     routing = np.zeros((len(links), len(od_pairs)), dtype=float)
     for col, od in enumerate(od_pairs):
-        for link_index in network.path_links(table.primary[od]):
-            routing[link_index, col] = 1.0
+        routing[list(table.primary_links[od]), col] = 1.0
     targets = np.array([target_loads[link.endpoints] for link in links], dtype=float)
     if prior is None:
         demands, __ = nnls(routing, targets)

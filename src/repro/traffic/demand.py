@@ -38,12 +38,13 @@ def primary_link_loads(
 
     Every positive demand must have a primary path in ``table``.
     """
+    table.check_current(network, alternates=False)
     loads = np.zeros(network.num_links, dtype=float)
     for od, demand in traffic.positive_pairs():
-        path = table.primary.get(od)
-        if path is None:
+        links = table.primary_links.get(od)
+        if links is None:
             raise ValueError(f"O-D pair {od} has demand {demand} but no primary path")
-        for link_index in network.path_links(path):
+        for link_index in links:
             loads[link_index] += demand
     return loads
 

@@ -41,7 +41,10 @@ knows.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -95,12 +98,13 @@ class Workload:
                 self, "profiles", tuple(sorted(self.profiles, key=lambda e: e[0]))
             )
 
+    @cached_property
+    def _by_pair(self) -> dict[OD, LoadProfile]:
+        return dict(self.profiles)
+
     def profile_for(self, od: OD) -> LoadProfile:
         """The profile one O-D pair follows."""
-        for pair, profile in self.profiles:
-            if pair == od:
-                return profile
-        return self.default
+        return self._by_pair.get(od, self.default)
 
     def scale_at(self, od: OD, time: float) -> float:
         """The demand multiplier for ``od`` in force at ``time``."""
@@ -295,18 +299,14 @@ def alternate_overlap_scores(
     whose overflow sets off the widest crankback/alternate churn — the
     adversary's targets.
     """
-    pairs = [od for od, __ in traffic.positive_pairs()]
-    alt_links: dict[OD, set[int]] = {}
-    users: dict[int, int] = {}
-    for od in pairs:
-        links: set[int] = set()
-        for alt in table.alternates.get(od, ()):
-            links.update(network.path_links(alt))
-        alt_links[od] = links
-        for link in links:
-            users[link] = users.get(link, 0) + 1
+    table.check_current(network)
+    alt_links = {
+        od: set().union(*table.alternate_links.get(od, ()))
+        for od, __ in traffic.positive_pairs()
+    }
+    users = Counter(chain.from_iterable(alt_links.values()))
     return {
-        od: float(sum(users[link] - 1 for link in links))
+        od: float(sum(map(users.__getitem__, links)) - len(links))
         for od, links in alt_links.items()
     }
 

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import Scenario, StudyResult, run_scenario, run_study
+import repro.api
+from repro.api import LabConfig, Scenario, StudyResult, run_scenario, run_study
 from repro.experiments.runner import ReplicationConfig
 from repro.routing.alternate import ControlledAlternateRouting
 from repro.sim.signaling import SignalingConfig
 from repro.sim.simulator import simulate
 from repro.sim.trace import generate_trace
-from repro.topology.generators import quadrangle
+from repro.topology.generators import quadrangle, waxman_mesh
 from repro.topology.paths import build_path_table
 from repro.traffic.generators import uniform_traffic
 
@@ -122,6 +123,30 @@ class TestRunStudy:
         assert repro.Scenario is Scenario
         assert repro.run_scenario is run_scenario
         assert repro.run_study is run_study
+
+
+class TestCompileOnce:
+    """A study compiles its scenario once: one path table, one workload."""
+
+    @pytest.mark.parametrize("lab", [False, True], ids=["direct", "lab-serial"])
+    def test_one_path_table_and_workload_build_per_study(self, monkeypatch,
+                                                          tmp_path, lab):
+        builds = {"build_path_table": 0, "build_workload": 0}
+        for name in builds:
+            def counted(*args, _name=name, _original=getattr(repro.api, name),
+                        **kwargs):
+                builds[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(repro.api, name, counted)
+        scenario = Scenario(topology=waxman_mesh(8, capacity=20, seed=2),
+                            traffic=4.0, max_hops=3, workload="adversarial:1")
+        study = run_study(
+            scenario, policies=("single-path", "controlled"), config=QUICK,
+            lab=LabConfig(store=tmp_path / "store") if lab else None,
+        )
+        assert all(outcome.all_completed for outcome in study.outcomes.values())
+        assert builds == {"build_path_table": 1, "build_workload": 1}
 
 
 class TestKeywordOnlyConfigs:

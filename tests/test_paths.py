@@ -4,8 +4,20 @@ from __future__ import annotations
 
 import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.topology.generators import fully_connected, grid, line, random_mesh, ring
+from repro.routing.alternate import UncontrolledAlternateRouting
+from repro.routing.single_path import SinglePathRouting
+from repro.topology.generators import (
+    fully_connected,
+    grid,
+    line,
+    quadrangle,
+    random_mesh,
+    ring,
+    waxman_mesh,
+)
 from repro.topology.graph import Network
 from repro.topology.paths import (
     all_min_hop_paths,
@@ -202,3 +214,79 @@ class TestPathTable:
         table = build_path_table(net)
         census = alternate_path_census(table)
         assert census["mean"] == 0.0
+
+    def test_link_tuples_follow_the_paths(self, nsfnet, nsfnet_table_h6):
+        for od, primary in nsfnet_table_h6.primary.items():
+            assert nsfnet_table_h6.primary_links[od] == nsfnet.path_links(primary)
+            assert nsfnet_table_h6.alternate_links[od] == tuple(
+                nsfnet.path_links(path) for path in nsfnet_table_h6.alternates[od]
+            )
+            assert nsfnet_table_h6.route_links(od) == tuple(
+                nsfnet.path_links(path) for path in nsfnet_table_h6.routes(od)
+            )
+
+    @pytest.mark.parametrize("policy", [SinglePathRouting, UncontrolledAlternateRouting])
+    def test_policy_refuses_a_link_failed_after_the_build(self, policy):
+        net = quadrangle(10)
+        table = build_path_table(net)
+        policy(net, table)
+        net.fail_duplex_link(0, 1)
+        with pytest.raises(ValueError, match="failed link 0->1"):
+            policy(net, table)
+        # A table built on the failed network routes around the link.
+        rebuilt = build_path_table(net)
+        assert rebuilt.failed_links == net.failed_links
+        policy(net, rebuilt)
+        net.restore_all()
+        policy(net, rebuilt)  # a restored link is merely unused
+
+    def test_single_path_ignores_a_failed_alternate_only_link(self):
+        # With (0, 1) routed the long way, the direct link carries no primary.
+        net = quadrangle(10)
+        table = build_path_table(net, primary={(0, 1): (0, 2, 1)})
+        net.fail_link(0, 1)
+        SinglePathRouting(net, table)
+        with pytest.raises(ValueError, match="failed link 0->1"):
+            UncontrolledAlternateRouting(net, table)
+
+
+@st.composite
+def failed_meshes(draw) -> Network:
+    """A random or Waxman mesh of 4-9 nodes with some duplex links failed."""
+    num_nodes = draw(st.integers(4, 9))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        network = random_mesh(num_nodes, draw(st.integers(0, 2 * num_nodes)), 1, seed=seed)
+    else:
+        network = waxman_mesh(num_nodes, 1, alpha=0.6, seed=seed)
+    duplex = sorted({tuple(sorted(link.endpoints)) for link in network.links})
+    for a, b in draw(st.lists(st.sampled_from(duplex), max_size=3, unique=True)):
+        network.fail_duplex_link(a, b)
+    return network
+
+
+class TestRandomizedDifferential:
+    """The path table against networkx on random meshes with failed links."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(network=failed_meshes(), max_hops=st.sampled_from([None, 1, 2, 3, 4]))
+    def test_table_matches_networkx(self, network, max_hops):
+        table = build_path_table(network, max_hops=max_hops)
+        graph = to_networkx(network)
+        cutoff = network.num_nodes - 1 if max_hops is None else max_hops
+        assert table.failed_links == network.failed_links
+        for od in network.node_pairs():
+            if not nx.has_path(graph, *od):
+                assert od not in table.primary
+                continue
+            primary = min(tuple(p) for p in nx.all_shortest_paths(graph, *od))
+            pool = sorted((tuple(p) for p in nx.all_simple_paths(graph, *od, cutoff=cutoff)),
+                          key=lambda p: (len(p), p))
+            assert table.primary[od] == primary
+            assert table.alternates[od] == tuple(p for p in pool if p != primary)
+            assert simple_paths_by_length(network, *od, max_hops=max_hops) == pool
+            assert table.primary_links[od] == network.path_links(primary)
+            assert table.alternate_links[od] == tuple(
+                network.path_links(path) for path in table.alternates[od]
+            )
